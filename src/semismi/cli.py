@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .data import KINDS, SyntheticSpec, generate, load_table
 from .estimator import EstimatorConfig, SampleSet, fit, smi_estimate
-from .matching import GridSpec, grid_summarize, normalize_positions, plan_to_assignment, topk_accuracy
+from .matching import GridSpec, grid_sample_set, grid_summarize, plan_to_assignment, topk_accuracy
 from .model_selection import CvGrid, cross_validate
 
 __all__ = ["main"]
@@ -59,11 +60,25 @@ class RunRecorder:
         p = Path(path)
         self.inputs[str(p)] = _sha256(p)
 
-    def note_output(self, name: str, deterministic: bool = True) -> None:
-        self.outputs[name] = {
-            "sha256": _sha256(self.out_dir / name),
-            "deterministic": deterministic,
-        }
+    @contextmanager
+    def phase(self, name: str):
+        """Record the wall-clock time of the enclosed block as ``name``."""
+        start = time.perf_counter()
+        yield
+        self.timings[name] = time.perf_counter() - start
+
+    def write(self, name: str, content, deterministic: bool = True) -> None:
+        """Write ``content`` to ``name`` in the run directory and record its digest.
+
+        A string is written as is; anything else is a matrix, written as
+        a comma-separated table at full double precision.
+        """
+        path = self.out_dir / name
+        if isinstance(content, str):
+            path.write_text(content)
+        else:
+            np.savetxt(path, np.asarray(content), delimiter=",", fmt="%.17e")
+        self.outputs[name] = {"sha256": _sha256(path), "deterministic": deterministic}
 
     def write_manifest(self) -> None:
         manifest = {
@@ -79,22 +94,6 @@ class RunRecorder:
             fh.write("\n")
 
 
-class _Phase:
-    """Context manager recording one wall-clock phase."""
-
-    def __init__(self, recorder: RunRecorder, name: str):
-        self.recorder = recorder
-        self.name = name
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.recorder.timings[self.name] = time.perf_counter() - self.start
-        return False
-
-
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -105,14 +104,20 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _write_record(path: Path, record: dict) -> None:
-    with open(path, "w") as fh:
-        for key, value in record.items():
-            fh.write(f"{key}: {_format_value(value)}\n")
+def _format_record(record: dict) -> str:
+    return "".join(f"{key}: {_format_value(value)}\n" for key, value in record.items())
 
 
-def _save_matrix(path: Path, matrix: np.ndarray) -> None:
-    np.savetxt(path, np.asarray(matrix), delimiter=",", fmt="%.17e")
+def _write_outputs(recorder: RunRecorder, record: dict, report, plan=None) -> None:
+    """Write result.txt, cv.csv when CV ran, and plan.csv when a plan is given."""
+    recorder.write("result.txt", _format_record(record))
+    if report is not None:
+        lines = ["lambda,beta,score"]
+        for (lam, beta), score in sorted(report.scores.items(), key=lambda kv: (-kv[0][0], kv[0][1])):
+            lines.append(f"{lam!r},{beta!r},{score!r}")
+        recorder.write("cv.csv", "\n".join(lines) + "\n")
+    if plan is not None:
+        recorder.write("plan.csv", plan)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +168,40 @@ def _resolve_config(args) -> EstimatorConfig:
     )
 
 
+def _synthetic_spec(args) -> SyntheticSpec:
+    return SyntheticSpec(
+        kind=args.synthetic,
+        n=args.n,
+        n_x=args.nx,
+        n_y=args.ny,
+        dim=args.dim,
+        noise_sd=args.noise_sd,
+        seed=args.seed,
+    )
+
+
+def _load_index(path, flag: str, recorder: RunRecorder) -> np.ndarray:
+    """Read a two-column file of whole-number indices as an (N, 2) int
+    array; no file gives no rows."""
+    if not path:
+        return np.empty((0, 2), dtype=int)
+    recorder.note_input(path)
+    table = load_table(path)
+    if table.shape[1] != 2:
+        raise ValueError(f"{flag} file must have two columns")
+    if not np.all(np.mod(table, 1.0) == 0.0):
+        raise ValueError(f"{flag} file has an entry that is not a whole number")
+    return table.astype(int)
+
+
+def _load_labels(path, flag: str, rows: int, recorder: RunRecorder) -> list:
+    recorder.note_input(path)
+    labels = [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
+    if len(labels) != rows:
+        raise ValueError(f"{flag} has {len(labels)} labels for a table of {rows} rows")
+    return labels
+
+
 def _load_indexed(args, recorder: RunRecorder):
     """Build a SampleSet from --x/--y tables plus an optional pair index.
 
@@ -175,22 +214,17 @@ def _load_indexed(args, recorder: RunRecorder):
     recorder.note_input(args.y)
     x = load_table(args.x)
     y = load_table(args.y)
-    if args.paired:
-        recorder.note_input(args.paired)
-        idx = load_table(args.paired).astype(int)
-        if idx.shape[1] != 2:
-            raise ValueError("--paired file must have two columns (x row, y row)")
-        px, py = idx[:, 0], idx[:, 1]
-        for name, ids, limit in (("x", px, x.shape[0]), ("y", py, y.shape[0])):
-            if len(set(ids.tolist())) != len(ids):
-                raise ValueError(f"--paired repeats a {name} row")
-            if ids.min(initial=0) < 0 or ids.max(initial=-1) >= limit:
-                raise ValueError(f"--paired {name} row index out of range")
-    else:
-        px = np.array([], dtype=int)
-        py = np.array([], dtype=int)
-    x_rows = [i for i in range(x.shape[0]) if i not in set(px.tolist())]
-    y_rows = [j for j in range(y.shape[0]) if j not in set(py.tolist())]
+    idx = _load_index(args.paired, "--paired", recorder)
+    px, py = idx[:, 0], idx[:, 1]
+    pools = []
+    for name, ids, limit in (("x", px, x.shape[0]), ("y", py, y.shape[0])):
+        taken = set(ids.tolist())
+        if len(taken) != len(ids):
+            raise ValueError(f"--paired repeats a {name} row")
+        if ids.min(initial=0) < 0 or ids.max(initial=-1) >= limit:
+            raise ValueError(f"--paired {name} row index out of range")
+        pools.append([row for row in range(limit) if row not in taken])
+    x_rows, y_rows = pools
     data = SampleSet(x[px], y[py], x[x_rows], y[y_rows])
     return data, x_rows, y_rows
 
@@ -199,64 +233,49 @@ def _resolve_data(args, recorder: RunRecorder):
     if args.synthetic and (args.x or args.y):
         raise ValueError("choose either --synthetic or --x/--y, not both")
     if args.synthetic:
-        spec = SyntheticSpec(
-            kind=args.synthetic,
-            n=args.n,
-            n_x=args.nx,
-            n_y=args.ny,
-            dim=args.dim,
-            noise_sd=args.noise_sd,
-            seed=args.seed,
-        )
-        return generate(spec), None, None
+        data = generate(_synthetic_spec(args))
+        return data, list(range(data.n_x)), list(range(data.n_y))
     return _load_indexed(args, recorder)
 
 
-def _maybe_cross_validate(data, config, args, recorder: RunRecorder):
-    """Run CV when requested or when lambda/beta were not pinned."""
-    wants_cv = args.cv or args.lam is None or args.beta is None
-    if not wants_cv:
+def _tune(args, recorder: RunRecorder, data):
+    """The run's config, with lambda and beta chosen by CV on ``data``
+    when --cv is given or either is not pinned.  ``data=None`` skips CV.
+
+    Returns (config, report); report is None when CV did not run.
+    """
+    config = _resolve_config(args)
+    if data is None or not (args.cv or args.lam is None or args.beta is None):
         return config, None
-    grid = CvGrid(seed=args.seed)
-    report = cross_validate(data, config, grid)
+    report = cross_validate(data, config, CvGrid(seed=args.seed))
     config = replace(config, lam=report.best_lambda, beta=report.best_beta)
     recorder.config["lam"] = config.lam
     recorder.config["beta"] = config.beta
     return config, report
 
 
-def _write_cv_scores(out_dir: Path, recorder: RunRecorder, report) -> None:
-    lines = ["lambda,beta,score"]
-    for (lam, beta), score in sorted(report.scores.items(), key=lambda kv: (-kv[0][0], kv[0][1])):
-        lines.append(f"{lam!r},{beta!r},{score!r}")
-    (out_dir / "cv.csv").write_text("\n".join(lines) + "\n")
-    recorder.note_output("cv.csv")
+def _load_tune_fit(args, recorder: RunRecorder):
+    """Load, tune, fit and score: the pipeline estimate and match share.
 
-
-def _prepare(args, command: str) -> tuple[Path, RunRecorder]:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    config = {k: v for k, v in vars(args).items() if k not in ("func", "_argv")}
-    config["out"] = str(out_dir)
-    recorder = RunRecorder(command, args._argv, out_dir, config)
-    return out_dir, recorder
+    Returns (data, x_rows, y_rows, config, report, result, smi).
+    """
+    with recorder.phase("load_seconds"):
+        data, x_rows, y_rows = _resolve_data(args, recorder)
+    with recorder.phase("cv_seconds"):
+        config, report = _tune(args, recorder, data)
+    with recorder.phase("fit_seconds"):
+        result = fit(data, config)
+        smi = smi_estimate(result.model, data)
+    return data, x_rows, y_rows, config, report, result, smi
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def cmd_estimate(args) -> int:
-    out_dir, recorder = _prepare(args, "estimate")
-    with _Phase(recorder, "load_seconds"):
-        data, _, _ = _resolve_data(args, recorder)
-    config = _resolve_config(args)
-    with _Phase(recorder, "cv_seconds"):
-        config, report = _maybe_cross_validate(data, config, args, recorder)
-    with _Phase(recorder, "fit_seconds"):
-        result = fit(data, config)
-        smi = smi_estimate(result.model, data)
-    with _Phase(recorder, "write_seconds"):
+def cmd_estimate(args, recorder: RunRecorder) -> None:
+    data, _, _, config, report, result, smi = _load_tune_fit(args, recorder)
+    with recorder.phase("write_seconds"):
         record = {
             "command": "estimate",
             "smi": smi,
@@ -274,77 +293,43 @@ def cmd_estimate(args) -> int:
             "plan_feasible": result.plan.converged,
             "objective_trace": result.objective_trace,
         }
-        _write_record(out_dir / "result.txt", record)
-        recorder.note_output("result.txt")
-        if report is not None:
-            _write_cv_scores(out_dir, recorder, report)
-        if args.save_plan:
-            _save_matrix(out_dir / "plan.csv", result.plan.pi)
-            recorder.note_output("plan.csv")
-    recorder.write_manifest()
-    return 0
+        _write_outputs(recorder, record, report, result.plan.pi if args.save_plan else None)
 
 
-def cmd_match(args) -> int:
-    out_dir, recorder = _prepare(args, "match")
-    with _Phase(recorder, "load_seconds"):
-        data, x_rows, y_rows = _resolve_data(args, recorder)
-    config = _resolve_config(args)
-    with _Phase(recorder, "cv_seconds"):
-        config, report = _maybe_cross_validate(data, config, args, recorder)
-    with _Phase(recorder, "fit_seconds"):
-        result = fit(data, config)
-        assignment = plan_to_assignment(result.plan, method=args.method)
-    if x_rows is None:
-        x_rows = list(range(data.n_x))
-        y_rows = list(range(data.n_y))
-
+def cmd_match(args, recorder: RunRecorder) -> None:
+    data, x_rows, y_rows, config, report, result, smi = _load_tune_fit(args, recorder)
+    assignment = plan_to_assignment(result.plan, method=args.method)
     record = {
         "command": "match",
         "lambda": config.lam,
         "beta": config.beta,
         "matched": len(assignment.pairs),
-        "smi": smi_estimate(result.model, data),
+        "smi": smi,
         "iterations": result.iterations_run,
         "converged": result.converged,
     }
     if args.truth:
-        recorder.note_input(args.truth)
-        truth = load_table(args.truth).astype(int)
+        truth = _load_index(args.truth, "--truth", recorder)
         x_pos = {row: i for i, row in enumerate(x_rows)}
         y_pos = {row: j for j, row in enumerate(y_rows)}
-        local = [
-            (x_pos[i], y_pos[j])
-            for i, j in truth
-            if int(i) in x_pos and int(j) in y_pos
-        ]
+        local = [(x_pos[i], y_pos[j]) for i, j in truth.tolist() if i in x_pos and j in y_pos]
         if local:
             record["top1_accuracy"] = topk_accuracy(result.plan, local, 1)
             record["top2_accuracy"] = topk_accuracy(result.plan, local, 2)
     if args.labels_x and args.labels_y:
-        recorder.note_input(args.labels_x)
-        recorder.note_input(args.labels_y)
-        lx = [line.strip() for line in Path(args.labels_x).read_text().splitlines() if line.strip()]
-        ly = [line.strip() for line in Path(args.labels_y).read_text().splitlines() if line.strip()]
-        same = [
-            lx[x_rows[i]] == ly[y_rows[j]] for i, j in assignment.pairs
-        ]
+        # a label file covers its whole table: the paired rows too when
+        # the table was read from a file, only the pool when generated
+        paired = 0 if args.synthetic else data.n
+        lx = _load_labels(args.labels_x, "--labels-x", paired + data.n_x, recorder)
+        ly = _load_labels(args.labels_y, "--labels-y", paired + data.n_y, recorder)
+        same = [lx[x_rows[i]] == ly[y_rows[j]] for i, j in assignment.pairs]
         record["class_accuracy"] = float(np.mean(same))
 
-    with _Phase(recorder, "write_seconds"):
+    with recorder.phase("write_seconds"):
         lines = ["x_row,y_row"]
         lines += [f"{x_rows[i]},{y_rows[j]}" for i, j in assignment.pairs]
-        (out_dir / "assignment.csv").write_text("\n".join(lines) + "\n")
-        recorder.note_output("assignment.csv")
-        _write_record(out_dir / "result.txt", record)
-        recorder.note_output("result.txt")
-        if report is not None:
-            _write_cv_scores(out_dir, recorder, report)
-        if args.save_plan:
-            _save_matrix(out_dir / "plan.csv", result.plan.pi)
-            recorder.note_output("plan.csv")
-    recorder.write_manifest()
-    return 0
+        recorder.write("assignment.csv", "\n".join(lines) + "\n")
+        _write_outputs(recorder, record, report, result.plan.pi if args.save_plan else None)
 
 
 def _parse_grid(args) -> np.ndarray:
@@ -361,99 +346,54 @@ def _parse_grid(args) -> np.ndarray:
     return load_table(args.grid_file)
 
 
-def cmd_summarize(args) -> int:
-    out_dir, recorder = _prepare(args, "summarize")
-    with _Phase(recorder, "load_seconds"):
+def cmd_summarize(args, recorder: RunRecorder) -> None:
+    with recorder.phase("load_seconds"):
         recorder.note_input(args.items)
         items = load_table(args.items)
         if args.grid_file:
             recorder.note_input(args.grid_file)
         positions = _parse_grid(args)
-        anchors = []
-        if args.anchors:
-            recorder.note_input(args.anchors)
-            idx = load_table(args.anchors).astype(int)
-            if idx.size and idx.shape[1] != 2:
-                raise ValueError("--anchors file must have two columns (item, position)")
-            anchors = [(int(i), int(p)) for i, p in idx]
+        anchors = _load_index(args.anchors, "--anchors", recorder)
         grid = GridSpec(positions, anchors)
-
-    config = _resolve_config(args)
-    report = None
-    with _Phase(recorder, "cv_seconds"):
-        if (args.cv or args.lam is None or args.beta is None) and len(anchors) >= 4:
-            anchored_items = [i for i, _ in anchors]
-            anchored_spots = [p for _, p in anchors]
-            coords = normalize_positions(positions)
-            free_items = sorted(set(range(items.shape[0])) - set(anchored_items))
-            free_spots = sorted(set(range(positions.shape[0])) - set(anchored_spots))
-            cv_data = SampleSet(
-                items[anchored_items], coords[anchored_spots],
-                items[free_items], coords[free_spots],
-            )
-            config, report = _maybe_cross_validate(cv_data, config, args, recorder)
-
-    with _Phase(recorder, "fit_seconds"):
+    with recorder.phase("cv_seconds"):
+        # CV holds out half of the anchors, so it needs a few of them
+        cv_data = grid_sample_set(items, grid)[0] if len(grid.anchors) >= 4 else None
+        config, report = _tune(args, recorder, cv_data)
+    with recorder.phase("fit_seconds"):
         placements = grid_summarize(items, grid, config)
-    with _Phase(recorder, "write_seconds"):
+    with recorder.phase("write_seconds"):
         lines = ["position_index,item_index"]
         lines += [f"{p},{i}" for i, p in placements]
-        (out_dir / "placements.csv").write_text("\n".join(lines) + "\n")
-        recorder.note_output("placements.csv")
+        recorder.write("placements.csv", "\n".join(lines) + "\n")
         placed = {i for i, _ in placements}
         unplaced = [i for i in range(items.shape[0]) if i not in placed]
-        (out_dir / "unplaced.csv").write_text(
-            "item_index\n" + "".join(f"{i}\n" for i in unplaced)
-        )
-        recorder.note_output("unplaced.csv")
+        recorder.write("unplaced.csv", "item_index\n" + "".join(f"{i}\n" for i in unplaced))
         record = {
             "command": "summarize",
             "items": items.shape[0],
             "positions": positions.shape[0],
-            "anchors": len(anchors),
+            "anchors": len(grid.anchors),
             "placed": len(placements),
             "unplaced": len(unplaced),
             "lambda": config.lam,
             "beta": config.beta,
         }
-        _write_record(out_dir / "result.txt", record)
-        recorder.note_output("result.txt")
-        if report is not None:
-            _write_cv_scores(out_dir, recorder, report)
-    recorder.write_manifest()
-    return 0
+        _write_outputs(recorder, record, report)
 
 
-def cmd_generate(args) -> int:
-    out_dir, recorder = _prepare(args, "generate")
+def cmd_generate(args, recorder: RunRecorder) -> None:
     if not args.synthetic:
         raise ValueError("generate requires --synthetic KIND")
-    with _Phase(recorder, "generate_seconds"):
-        spec = SyntheticSpec(
-            kind=args.synthetic,
-            n=args.n,
-            n_x=args.nx,
-            n_y=args.ny,
-            dim=args.dim,
-            noise_sd=args.noise_sd,
-            seed=args.seed,
-        )
-        data = generate(spec)
-    with _Phase(recorder, "write_seconds"):
-        for name, block in (
-            ("paired_x.csv", data.paired_x),
-            ("paired_y.csv", data.paired_y),
-            ("unpaired_x.csv", data.unpaired_x),
-            ("unpaired_y.csv", data.unpaired_y),
-        ):
-            _save_matrix(out_dir / name, block)
-            recorder.note_output(name)
-    recorder.write_manifest()
-    return 0
+    with recorder.phase("generate_seconds"):
+        data = generate(_synthetic_spec(args))
+    with recorder.phase("write_seconds"):
+        recorder.write("paired_x.csv", data.paired_x)
+        recorder.write("paired_y.csv", data.paired_y)
+        recorder.write("unpaired_x.csv", data.unpaired_x)
+        recorder.write("unpaired_y.csv", data.unpaired_y)
 
 
-def cmd_benchmark(args) -> int:
-    out_dir, recorder = _prepare(args, "benchmark")
+def cmd_benchmark(args, recorder: RunRecorder) -> None:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if len(sizes) < 2:
         raise ValueError("--sizes needs at least two comma-separated sizes")
@@ -461,7 +401,7 @@ def cmd_benchmark(args) -> int:
         raise ValueError("--repeats must be >= 1")
     config = _resolve_config(args)
     rows = []
-    with _Phase(recorder, "sweep_seconds"):
+    with recorder.phase("sweep_seconds"):
         for size in sizes:
             spec = SyntheticSpec(kind="linear", n=args.n, n_x=size, n_y=size, seed=args.seed)
             data = generate(spec)
@@ -485,11 +425,10 @@ def cmd_benchmark(args) -> int:
             np.log([r[0] for r in rows]), np.log([r[4] for r in rows]), 1
         )[0]
     )
-    with _Phase(recorder, "write_seconds"):
+    with recorder.phase("write_seconds"):
         lines = ["size,iterations,setup_seconds,iteration_seconds,per_iteration_seconds"]
         lines += [f"{s},{it},{su!r},{io!r},{pi!r}" for s, it, su, io, pi in rows]
-        (out_dir / "benchmark.csv").write_text("\n".join(lines) + "\n")
-        recorder.note_output("benchmark.csv", deterministic=False)
+        recorder.write("benchmark.csv", "\n".join(lines) + "\n", deterministic=False)
         record = {
             "command": "benchmark",
             "sizes": sizes,
@@ -498,10 +437,7 @@ def cmd_benchmark(args) -> int:
             "b": config.n_basis,
             "n": args.n,
         }
-        _write_record(out_dir / "result.txt", record)
-        recorder.note_output("result.txt", deterministic=False)
-    recorder.write_manifest()
-    return 0
+        recorder.write("result.txt", _format_record(record), deterministic=False)
 
 
 def cmd_replay(args) -> int:
@@ -600,9 +536,17 @@ def main(argv=None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(raw)
-    args._argv = raw
     try:
-        return args.func(args)
+        if args.command == "replay":
+            return cmd_replay(args)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        config = {k: v for k, v in vars(args).items() if k != "func"}
+        config["out"] = str(out_dir)
+        recorder = RunRecorder(args.command, raw, out_dir, config)
+        args.func(args, recorder)
+        recorder.write_manifest()
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

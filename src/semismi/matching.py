@@ -24,6 +24,7 @@ __all__ = [
     "plan_to_assignment",
     "topk_accuracy",
     "normalize_positions",
+    "grid_sample_set",
     "grid_summarize",
 ]
 
@@ -47,10 +48,6 @@ class Assignment:
         ys = [j for _, j in self.pairs]
         if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
             raise ValueError("assignment repeats an index")
-
-    def total_mass(self, plan) -> float:
-        pi = _plan_matrix(plan)
-        return float(sum(pi[i, j] for i, j in self.pairs))
 
 
 def plan_to_assignment(plan, method: str = "optimal") -> Assignment:
@@ -140,15 +137,14 @@ def normalize_positions(positions: np.ndarray) -> np.ndarray:
     return centered / scale
 
 
-def grid_summarize(features, grid: GridSpec, config: EstimatorConfig) -> list:
-    """Assign items to grid positions, keeping anchored items in place.
+def grid_sample_set(features, grid: GridSpec) -> tuple[SampleSet, list, list]:
+    """The estimation problem of a grid layout.
 
     Items are the x samples; normalized grid coordinates are the y
     samples; anchors form the paired set and everything else is
-    unpaired.  After fitting, the plan over the free items/positions is
-    rounded with the Hungarian method.  Returns (item_index,
-    position_index) pairs sorted by position; when there are more items
-    than positions, the surplus items are simply absent from the result.
+    unpaired.  Returns (data, free_items, free_positions), where the
+    index lists map unpaired pool positions back to item and position
+    indices.
     """
     items = as_points(features, "features")
     n_items = items.shape[0]
@@ -159,18 +155,32 @@ def grid_summarize(features, grid: GridSpec, config: EstimatorConfig) -> list:
 
     anchored_items = [i for i, _ in grid.anchors]
     anchored_spots = [p for _, p in grid.anchors]
-    free_items = [i for i in range(n_items) if i not in set(anchored_items)]
-    free_spots = [p for p in range(coords.shape[0]) if p not in set(anchored_spots)]
+    taken_items = set(anchored_items)
+    taken_spots = set(anchored_spots)
+    free_items = [i for i in range(n_items) if i not in taken_items]
+    free_spots = [p for p in range(coords.shape[0]) if p not in taken_spots]
+    data = SampleSet(
+        items[anchored_items],
+        coords[anchored_spots],
+        items[free_items],
+        coords[free_spots],
+    )
+    return data, free_items, free_spots
 
+
+def grid_summarize(features, grid: GridSpec, config: EstimatorConfig) -> list:
+    """Assign items to grid positions, keeping anchored items in place.
+
+    The problem is :func:`grid_sample_set`'s.  After fitting, the plan
+    over the free items/positions is rounded with the Hungarian method.
+    Returns (item_index, position_index) pairs sorted by position; when
+    there are more items than positions, the surplus items are simply
+    absent from the result.
+    """
+    data, free_items, free_spots = grid_sample_set(features, grid)
     placements = list(grid.anchors)
     if free_items and free_spots:
         beta = config.beta if grid.anchors else 0.0
-        data = SampleSet(
-            items[anchored_items],
-            coords[anchored_spots],
-            items[free_items],
-            coords[free_spots],
-        )
         result = fit(data, replace(config, beta=beta))
         assignment = plan_to_assignment(result.plan, method="optimal")
         placements.extend(

@@ -25,6 +25,13 @@ def _read_record(path):
     return record
 
 
+PIPELINE_TIMINGS = {"load_seconds", "cv_seconds", "fit_seconds", "write_seconds"}
+
+
+def _timing_keys(out):
+    return set(json.loads((out / "manifest.json").read_text())["timings"])
+
+
 # ----------------------------------------------------------------- estimate
 
 
@@ -45,7 +52,7 @@ def test_estimate_synthetic_pinned(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "estimate"
     assert "result.txt" in manifest["outputs"]
-    assert "fit_seconds" in manifest["timings"]
+    assert set(manifest["timings"]) == PIPELINE_TIMINGS
 
 
 def test_estimate_runs_cv_when_params_omitted(tmp_path):
@@ -116,10 +123,15 @@ def test_estimate_input_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_estimate_rejects_bad_pair_index(tmp_path):
-    x_path = _write_table(tmp_path / "x.csv", np.zeros((5, 1)))
-    y_path = _write_table(tmp_path / "y.csv", np.zeros((5, 1)))
-    pairs = _write_table(tmp_path / "pairs.csv", [[0, 0], [0, 1]])
+@pytest.mark.parametrize(
+    "rows",
+    [[[0, 0], [0, 1]], [[1.7, 1.2]]],
+    ids=["repeated-row", "fractional"],
+)
+def test_estimate_rejects_bad_pair_index(tmp_path, rows):
+    x_path = _write_table(tmp_path / "x.csv", np.arange(5.0))
+    y_path = _write_table(tmp_path / "y.csv", np.arange(5.0))
+    pairs = _write_table(tmp_path / "pairs.csv", rows)
     code = main(
         ["estimate", "--out", str(tmp_path / "o"), "--x", x_path, "--y", y_path,
          "--paired", pairs, "--lambda", "0.01", "--beta", "1.0"]
@@ -145,6 +157,7 @@ def test_match_writes_assignment(tmp_path):
     assert len(lines) == 13
     xs = [int(line.split(",")[0]) for line in lines[1:]]
     assert len(set(xs)) == 12
+    assert _timing_keys(out) == PIPELINE_TIMINGS
 
 
 def test_match_scores_truth_and_labels(tmp_path):
@@ -180,6 +193,25 @@ def test_match_scores_truth_and_labels(tmp_path):
     assert rows.isdisjoint({0, 1, 2, 3})
 
 
+def test_match_rejects_short_label_file(tmp_path, capsys):
+    x_path = _write_table(tmp_path / "x.csv", np.arange(8.0))
+    y_path = _write_table(tmp_path / "y.csv", np.arange(8.0))
+    pairs = _write_table(tmp_path / "pairs.csv", [[0, 0], [1, 1]])
+    (tmp_path / "lx.txt").write_text("a\n" * 8)
+    (tmp_path / "ly.txt").write_text("a\n" * 5)
+    code = main(
+        [
+            "match", "--out", str(tmp_path / "o"), "--x", x_path, "--y", y_path,
+            "--paired", pairs,
+            "--labels-x", str(tmp_path / "lx.txt"),
+            "--labels-y", str(tmp_path / "ly.txt"),
+            "--b", "4", "--lambda", "0.01", "--beta", "0.5",
+        ]
+    )
+    assert code == 2
+    assert "--labels-y" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- summarize
 
 
@@ -204,6 +236,18 @@ def test_summarize_grid_layout(tmp_path):
     assert record["placed"] == "6"
     assert record["unplaced"] == "0"
     assert (out / "unplaced.csv").read_text() == "item_index\n"
+    assert _timing_keys(out) == PIPELINE_TIMINGS
+
+
+def test_summarize_cv_rejects_bad_anchor_item(tmp_path, capsys):
+    items = _write_table(tmp_path / "items.csv", np.zeros((12, 2)))
+    anchors = _write_table(tmp_path / "anchors.csv", [[0, 0], [1, 1], [2, 2], [40, 3]])
+    code = main(
+        ["summarize", "--out", str(tmp_path / "o"), "--items", items,
+         "--grid", "3x4", "--anchors", anchors, "--b", "4"]
+    )
+    assert code == 2
+    assert "anchor item index 40" in capsys.readouterr().err
 
 
 def test_summarize_surplus_items_reported(tmp_path):
@@ -252,6 +296,7 @@ def test_generate_round_trips_exactly(tmp_path):
     ):
         loaded = np.loadtxt(out / name, delimiter=",", ndmin=2)
         np.testing.assert_array_equal(loaded, block)
+    assert _timing_keys(out) == {"generate_seconds", "write_seconds"}
 
 
 def test_generate_requires_kind(tmp_path):
@@ -275,6 +320,7 @@ def test_benchmark_writes_sweep_and_slope(tmp_path):
     record = _read_record(out / "result.txt")
     assert record["repeats"] == "2"
     assert np.isfinite(float(record["slope"]))
+    assert _timing_keys(out) == {"sweep_seconds", "write_seconds"}
 
 
 def test_benchmark_needs_two_sizes(tmp_path):
@@ -298,15 +344,50 @@ def _estimate_argv(out):
     ]
 
 
-def test_replay_reproduces_outputs(tmp_path, capsys):
+def _match_argv(out):
+    rng = np.random.default_rng(4)
+    base = rng.standard_normal((16, 1))
+    inputs = out.parent
+    x_path = _write_table(inputs / "x.csv", np.hstack([base, base]))
+    y_path = _write_table(inputs / "y.csv", base)
+    pairs = _write_table(inputs / "pairs.csv", [[i, i] for i in range(6)])
+    truth = _write_table(inputs / "truth.csv", [[i, i] for i in range(6, 16)])
+    return [
+        "match", "--out", str(out), "--x", x_path, "--y", y_path,
+        "--paired", pairs, "--truth", truth, "--b", "8", "--save-plan",
+    ]
+
+
+def _summarize_argv(out):
+    rng = np.random.default_rng(5)
+    inputs = out.parent
+    items = _write_table(inputs / "items.csv", rng.standard_normal((12, 3)))
+    anchors = _write_table(inputs / "anchors.csv", [[0, 0], [3, 3], [5, 8], [7, 11], [9, 5]])
+    return [
+        "summarize", "--out", str(out), "--items", items, "--grid", "3x4",
+        "--anchors", anchors, "--b", "8",
+    ]
+
+
+@pytest.mark.parametrize(
+    "make_argv, expected",
+    [
+        (_estimate_argv, {"result.txt", "plan.csv"}),
+        (_match_argv, {"result.txt", "cv.csv", "plan.csv", "assignment.csv"}),
+        (_summarize_argv, {"result.txt", "cv.csv", "placements.csv", "unplaced.csv"}),
+    ],
+    ids=["estimate", "match", "summarize"],
+)
+def test_replay_reproduces_outputs(tmp_path, capsys, make_argv, expected):
     first = tmp_path / "first"
-    assert main(_estimate_argv(first)) == 0
+    assert main(make_argv(first)) == 0
+    assert set(json.loads((first / "manifest.json").read_text())["outputs"]) == expected
     second = tmp_path / "second"
     code = main(["replay", str(first / "manifest.json"), "--out", str(second)])
     assert code == 0
     out = capsys.readouterr().out
-    assert "result.txt: ok" in out
-    assert "plan.csv: ok" in out
+    for name in expected:
+        assert f"{name}: ok" in out
     assert (second / "result.txt").read_text() == (first / "result.txt").read_text()
 
 
