@@ -254,19 +254,17 @@ def _tune(args, recorder: RunRecorder, data):
     return config, report
 
 
-def _load_tune_fit(args, recorder: RunRecorder):
-    """Load, tune, fit and score: the pipeline estimate and match share.
+def _tune_fit(args, recorder: RunRecorder, data):
+    """Tune, fit and score loaded data: the pipeline estimate and match share.
 
-    Returns (data, x_rows, y_rows, config, report, result, smi).
+    Returns (config, report, result, smi).
     """
-    with recorder.phase("load_seconds"):
-        data, x_rows, y_rows = _resolve_data(args, recorder)
     with recorder.phase("cv_seconds"):
         config, report = _tune(args, recorder, data)
     with recorder.phase("fit_seconds"):
         result = fit(data, config)
         smi = smi_estimate(result.model, data)
-    return data, x_rows, y_rows, config, report, result, smi
+    return config, report, result, smi
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +272,9 @@ def _load_tune_fit(args, recorder: RunRecorder):
 
 
 def cmd_estimate(args, recorder: RunRecorder) -> None:
-    data, _, _, config, report, result, smi = _load_tune_fit(args, recorder)
+    with recorder.phase("load_seconds"):
+        data, _, _ = _resolve_data(args, recorder)
+    config, report, result, smi = _tune_fit(args, recorder, data)
     with recorder.phase("write_seconds"):
         record = {
             "command": "estimate",
@@ -297,7 +297,25 @@ def cmd_estimate(args, recorder: RunRecorder) -> None:
 
 
 def cmd_match(args, recorder: RunRecorder) -> None:
-    data, x_rows, y_rows, config, report, result, smi = _load_tune_fit(args, recorder)
+    with recorder.phase("load_seconds"):
+        data, x_rows, y_rows = _resolve_data(args, recorder)
+        # Truth pairs that fall in the pools, as (pool position, pool position).
+        local = []
+        if args.truth:
+            truth = _load_index(args.truth, "--truth", recorder)
+            x_pos = {row: i for i, row in enumerate(x_rows)}
+            y_pos = {row: j for j, row in enumerate(y_rows)}
+            local = [(x_pos[i], y_pos[j]) for i, j in truth.tolist() if i in x_pos and j in y_pos]
+        if bool(args.labels_x) != bool(args.labels_y):
+            raise ValueError("--labels-x and --labels-y must be given together")
+        lx = ly = None
+        if args.labels_x:
+            # a label file covers its whole table: the paired rows too when
+            # the table was read from a file, only the pool when generated
+            paired = 0 if args.synthetic else data.n
+            lx = _load_labels(args.labels_x, "--labels-x", paired + data.n_x, recorder)
+            ly = _load_labels(args.labels_y, "--labels-y", paired + data.n_y, recorder)
+    config, report, result, smi = _tune_fit(args, recorder, data)
     assignment = plan_to_assignment(result.plan, method=args.method)
     record = {
         "command": "match",
@@ -308,20 +326,10 @@ def cmd_match(args, recorder: RunRecorder) -> None:
         "iterations": result.iterations_run,
         "converged": result.converged,
     }
-    if args.truth:
-        truth = _load_index(args.truth, "--truth", recorder)
-        x_pos = {row: i for i, row in enumerate(x_rows)}
-        y_pos = {row: j for j, row in enumerate(y_rows)}
-        local = [(x_pos[i], y_pos[j]) for i, j in truth.tolist() if i in x_pos and j in y_pos]
-        if local:
-            record["top1_accuracy"] = topk_accuracy(result.plan, local, 1)
-            record["top2_accuracy"] = topk_accuracy(result.plan, local, 2)
-    if args.labels_x and args.labels_y:
-        # a label file covers its whole table: the paired rows too when
-        # the table was read from a file, only the pool when generated
-        paired = 0 if args.synthetic else data.n
-        lx = _load_labels(args.labels_x, "--labels-x", paired + data.n_x, recorder)
-        ly = _load_labels(args.labels_y, "--labels-y", paired + data.n_y, recorder)
+    if local:
+        record["top1_accuracy"] = topk_accuracy(result.plan, local, 1)
+        record["top2_accuracy"] = topk_accuracy(result.plan, local, 2)
+    if lx is not None:
         same = [lx[x_rows[i]] == ly[y_rows[j]] for i, j in assignment.pairs]
         record["class_accuracy"] = float(np.mean(same))
 

@@ -153,6 +153,9 @@ def load_table(path, delimiter: str | None = None, has_header: bool | None = Non
         table = np.loadtxt(path, delimiter=delimiter, skiprows=1 if has_header else 0, ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: not a rectangular numeric table ({exc})") from exc
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite entry (NaN or inf) in data row {bad[0] + 1}")
     return table
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 from .kernels import BasisSet, feature_columns
 
@@ -170,6 +171,8 @@ class RidgeSystem:
         h = np.asarray(h, dtype=float).ravel()
         if h.shape[0] != self.b:
             raise ValueError(f"h has length {h.shape[0]}, expected {self.b}")
+        if not np.isfinite(h).all():
+            raise ValueError("h has non-finite entries")
         h_norm = float(np.linalg.norm(h))
         if h_norm == 0.0:
             return np.zeros(self.b)
@@ -178,8 +181,13 @@ class RidgeSystem:
             A, factor = self._factor(ridge)
             if factor is None:
                 continue
-            alpha = scipy.linalg.cho_solve(factor, h)
-            if np.all(np.isfinite(alpha)) and float(np.linalg.norm(A @ alpha - h)) <= tol:
+            # The LAPACK triangular solves that cho_solve wraps, called
+            # directly: h is finite (above), so is the factor of a finite
+            # A, and alpha is checked next.
+            alpha, info = dpotrs(factor[0], h, lower=factor[1])
+            if info != 0 or not np.isfinite(alpha).all():
+                continue
+            if float(np.linalg.norm(A @ alpha - h)) <= tol:
                 return alpha
         raise np.linalg.LinAlgError(
             "ridge system remained singular after jitter; increase lam"

@@ -58,10 +58,11 @@ class SampleSet:
     unpaired_y: np.ndarray
 
     def __post_init__(self):
-        self.paired_x = as_points(self.paired_x, "paired_x")
-        self.paired_y = as_points(self.paired_y, "paired_y")
-        self.unpaired_x = as_points(self.unpaired_x, "unpaired_x")
-        self.unpaired_y = as_points(self.unpaired_y, "unpaired_y")
+        for name in ("paired_x", "paired_y", "unpaired_x", "unpaired_y"):
+            points = as_points(getattr(self, name), name)
+            if not np.isfinite(points).all():
+                raise ValueError(f"{name} has a non-finite entry (NaN or inf)")
+            setattr(self, name, points)
         if self.paired_x.shape[0] != self.paired_y.shape[0]:
             raise ValueError("paired_x and paired_y must have equal length")
         if (
@@ -164,6 +165,9 @@ def objective(H, h, alpha, plan, lam: float, epsilon: float) -> float:
     """Joint objective: ridge quadratic in alpha plus plan entropy.
 
     J = 1/2 a^T H a - a^T h + epsilon * entropy(plan) + lam/2 ||a||^2.
+
+    A plan from :func:`sinkhorn_solve` or :func:`uniform_plan` carries
+    its entropy, so this is O(b^2); other plans are summed entry by entry.
     """
     alpha = np.asarray(alpha, dtype=float).ravel()
     h = np.asarray(h, dtype=float).ravel()
@@ -219,11 +223,14 @@ def fit(data: SampleSet, config: EstimatorConfig, basis: BasisSet | None = None)
         alpha = ridge.solve(h)
         if t == 1:
             trace.append(objective(H, h, alpha, plan, config.lam, config.epsilon))
-        C = cost_matrix(alpha, K_unpair, L_unpair)
+        # No n_x x n_y array outlives its use: the reward matrix is freed
+        # once the plan is solved, and the old plan, whose buffer takes
+        # the difference, once the gap is known.
         new_plan = sinkhorn_solve(
-            C, config.beta, params, init=(plan.row_potential, plan.col_potential)
+            cost_matrix(alpha, K_unpair, L_unpair), config.beta, params, init=plan
         )
-        gap = float(np.linalg.norm(new_plan.pi - plan.pi))
+        plan.pi -= new_plan.pi
+        gap = float(np.linalg.norm(plan.pi))
         plan = new_plan
         h = mixed_linear_term(K_pair, L_pair, K_unpair, L_unpair, plan.pi, config.beta)
         trace.append(objective(H, h, alpha, plan, config.lam, config.epsilon))

@@ -9,12 +9,16 @@ Its unique optimum is a diagonal rescaling of exp((1 - beta) C / epsilon)
 — note the positive exponent: the linear term is a reward, not a cost —
 found by alternating row/column balancing.  The solver below keeps dual
 potentials in log space and absorbs the running scaling factors into
-them periodically, so arbitrarily large cost magnitudes cannot overflow
-while the hot loop stays two matrix-vector products per sweep.
+them whenever one leaves [exp(-ABSORB_THRESHOLD), exp(ABSORB_THRESHOLD)]
+(Schmitzer's stabilized scaling), so arbitrarily large cost magnitudes
+cannot overflow while the hot loop stays two matrix-vector products per
+sweep.  The plan's entropy follows from those potentials:
+log pi_ij = phi_i + S_ij + psi_j, so no logarithm of the plan is taken.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -32,11 +36,10 @@ __all__ = [
     "plan_entropy",
 ]
 
-#: Sweeps between absorptions of the scaling vectors into the potentials.
-ABSORB_EVERY = 10
-
-#: |log u| beyond which absorption happens immediately.
+#: |log u| beyond which a scaling vector is absorbed into the potentials.
 ABSORB_THRESHOLD = 33.0
+_ABSORB_LOW = math.exp(-ABSORB_THRESHOLD)
+_ABSORB_HIGH = math.exp(ABSORB_THRESHOLD)
 
 
 @dataclass
@@ -69,7 +72,9 @@ class TransportPlan:
 
     ``row_potential``/``col_potential`` are the scaled dual potentials
     (f/epsilon, g/epsilon); a later solve on a nearby cost matrix can
-    warm-start from them.
+    warm-start from them.  ``entropy`` is sum_ij pi_ij (log pi_ij - 1)
+    as recorded by the solver that built ``pi``; None means unknown, and
+    :func:`plan_entropy` then sums it from the entries.
     """
 
     pi: np.ndarray
@@ -78,6 +83,7 @@ class TransportPlan:
     converged: bool = True
     marginal_error: float = 0.0
     iterations: int = 0
+    entropy: float | None = None
 
     def __post_init__(self):
         self.pi = np.asarray(self.pi, dtype=float)
@@ -110,6 +116,7 @@ def uniform_plan(n_x: int, n_y: int) -> TransportPlan:
         pi,
         row_potential=np.full(n_x, -np.log(n_x)),
         col_potential=np.full(n_y, -np.log(n_y)),
+        entropy=float(-np.log(n_x * n_y) - 1.0),
     )
 
 
@@ -120,14 +127,22 @@ def cost_matrix(alpha, K_unpair, L_unpair) -> np.ndarray:
     O(b * n_x * n_y) from the factored kernel columns.
     """
     C = ratio_cross(alpha, K_unpair, L_unpair)
-    if not np.all(np.isfinite(C)):
+    if not np.isfinite(C).all():
         raise ValueError("cost matrix has non-finite entries")
     return C
 
 
 def plan_entropy(plan) -> float:
-    """sum_ij pi_ij (log pi_ij - 1), with 0 log 0 taken as 0."""
-    pi = plan.pi if isinstance(plan, TransportPlan) else np.asarray(plan, dtype=float)
+    """sum_ij pi_ij (log pi_ij - 1), with 0 log 0 taken as 0.
+
+    A ``TransportPlan`` that carries its recorded entropy returns it;
+    a bare matrix, or a plan built without one, is summed entry by entry.
+    """
+    if isinstance(plan, TransportPlan):
+        if plan.entropy is not None:
+            return plan.entropy
+        plan = plan.pi
+    pi = np.asarray(plan, dtype=float)
     return float(np.sum(xlogy(pi, pi)) - np.sum(pi))
 
 
@@ -145,8 +160,19 @@ def _logsumexp(X: np.ndarray, axis: int) -> np.ndarray:
         return np.log(np.sum(X, axis=axis)) + np.squeeze(shift, axis=axis)
 
 
+# Extremes of the short vectors the sweep loop tests.  Indexing at
+# argmax/argmin costs about half of a ufunc reduction at these lengths
+# and, like it, returns NaN when one is present.
+def _max(x: np.ndarray) -> float:
+    return x[x.argmax()]
+
+
+def _min(x: np.ndarray) -> float:
+    return x[x.argmin()]
+
+
 def _positive_finite(sums: np.ndarray) -> bool:
-    return bool(np.all((sums > 0.0) & (sums < np.inf)))
+    return bool(0.0 < _min(sums) and _max(sums) < np.inf)
 
 
 def sinkhorn_solve(
@@ -170,11 +196,15 @@ def sinkhorn_solve(
     straight from them by the absorption formula; the log-domain pass
     runs only on a cold start, or when that kernel overflows or has an
     empty row or column.
+
+    The returned plan records its entropy, computed from the potentials
+    and the plan's actual row and column sums (exact also when the
+    sweep cap was hit).
     """
     C = np.asarray(cost, dtype=float)
     if C.ndim != 2:
         raise ValueError(f"cost must be a matrix, got shape {C.shape}")
-    if not np.all(np.isfinite(C)):
+    if not np.isfinite(C).all():
         raise ValueError("cost matrix has non-finite entries")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
@@ -188,9 +218,20 @@ def sinkhorn_solve(
 
     a = 1.0 / n_x
     b = 1.0 / n_y
-    log_a = -np.log(n_x)
-    log_b = -np.log(n_y)
-    S = ((1.0 - beta) / params.epsilon) * C
+    tol = params.marginal_tol
+    # S = scale * C is never stored: the log kernel, every rebuild of
+    # the kernel and finally the plan are formed in the one buffer M.
+    scale = (1.0 - beta) / params.epsilon
+    M = np.empty_like(C)
+    M_T = M.T
+
+    def log_kernel(p, q):
+        """M = p_i + S_ij + q_j; a None potential is left out."""
+        np.multiply(C, scale, out=M)
+        if p is not None:
+            np.add(M, p[:, None], out=M)
+        if q is not None:
+            np.add(M, q[None, :], out=M)
 
     warm = init is not None and init[0] is not None and init[1] is not None
     if warm:
@@ -205,55 +246,67 @@ def sinkhorn_solve(
     def rebuild():
         # One log-space sweep followed by kernel materialization; safe
         # for any potential/cost magnitudes.
-        p = log_a - _logsumexp(S + psi[None, :], axis=1)
-        q = log_b - _logsumexp(S + p[:, None], axis=0)
-        return p, q, np.exp(p[:, None] + S + q[None, :])
+        log_kernel(None, psi)
+        p = -np.log(n_x) - _logsumexp(M, axis=1)
+        log_kernel(p, None)
+        q = -np.log(n_y) - _logsumexp(M, axis=0)
+        log_kernel(p, q)
+        np.exp(M, out=M)
+        return p, q
 
+    # The scalings share one buffer, so the absorption test is two
+    # reductions; all ones, they also turn the products below into sums.
+    uv = np.ones(n_x + n_y)
+    u, v = uv[:n_x], uv[n_x:]
     if warm:
         # The absorbed kernel of the warm potentials is usable as it
         # stands unless they overflow it or leave a row or column empty.
         with np.errstate(over="ignore", invalid="ignore"):
-            M = np.exp(phi[:, None] + S + psi[None, :])
-            warm = _positive_finite(M.sum(axis=1)) and _positive_finite(M.sum(axis=0))
+            log_kernel(phi, psi)
+            np.exp(M, out=M)
+            warm = _positive_finite(M.dot(v)) and _positive_finite(M_T.dot(u))
     it = 0
     if not warm:
-        phi, psi, M = rebuild()  # M: columns exactly balanced, one sweep
+        phi, psi = rebuild()  # M: columns exactly balanced, one sweep
         it = 1
-    u = np.ones(n_x)
-    v = np.ones(n_y)
+    dev = np.empty(n_y)
     converged = False
     err = np.inf
     while it < params.max_inner_iters:
         it += 1
-        u = a / (M @ v)
-        col_weights = M.T @ u
-        err = float(np.max(np.abs(v * col_weights - b)))
-        if not np.isfinite(err):
-            phi, psi, M = rebuild()
-            u[:] = 1.0
-            v[:] = 1.0
-            continue
-        if err <= params.marginal_tol:
+        np.divide(a, M.dot(v), out=u)
+        col_weights = M_T.dot(u)
+        # violation of the column marginals before v rebalances them
+        np.multiply(v, col_weights, out=dev)
+        err = max(_max(dev) - b, b - _min(dev))
+        if err <= tol:
             converged = True
             break
-        v = b / col_weights
-        if it % ABSORB_EVERY == 0 or max(
-            np.max(np.abs(np.log(u))), np.max(np.abs(np.log(v)))
-        ) > ABSORB_THRESHOLD:
+        if not err < np.inf:
+            phi, psi = rebuild()
+            uv.fill(1.0)
+            continue
+        np.divide(b, col_weights, out=v)
+        if _max(uv) > _ABSORB_HIGH or _min(uv) < _ABSORB_LOW:
             phi += np.log(u)
             psi += np.log(v)
-            M = np.exp(phi[:, None] + S + psi[None, :])
-            u[:] = 1.0
-            v[:] = 1.0
+            log_kernel(phi, psi)
+            np.exp(M, out=M)
+            uv.fill(1.0)
 
-    pi = (u[:, None] * M) * v[None, :]
-    phi = phi + np.log(u)
-    psi = psi + np.log(v)
+    pi = M
+    pi *= u[:, None]
+    pi *= v
+    phi += np.log(u)
+    psi += np.log(v)
+    # log pi_ij = phi_i + S_ij + psi_j, weighted by the plan's actual
+    # row and column sums (products with ones: one streaming pass each)
+    rows = pi.dot(np.ones(n_y))
+    cols = pi.T.dot(np.ones(n_x))
+    entropy = float(phi @ rows + psi @ cols + scale * np.vdot(pi, C) - rows.sum())
     if not converged:
-        row_err = float(np.max(np.abs(pi.sum(axis=1) - a)))
-        col_err = float(np.max(np.abs(pi.sum(axis=0) - b)))
-        err = max(row_err, col_err)
-        if err <= params.marginal_tol:
+        err = max(_max(np.abs(rows - a)), _max(np.abs(cols - b)))
+        if err <= tol:
             converged = True
         else:
             warnings.warn(
@@ -262,4 +315,4 @@ def sinkhorn_solve(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    return TransportPlan(pi, phi, psi, converged, err, it)
+    return TransportPlan(pi, phi, psi, converged, float(err), it, entropy)

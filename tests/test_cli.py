@@ -139,6 +139,20 @@ def test_estimate_rejects_bad_pair_index(tmp_path, rows):
     assert code == 2
 
 
+def test_estimate_names_the_table_with_a_nan(tmp_path, capsys):
+    x = np.arange(6.0)
+    x[4] = np.nan
+    x_path = _write_table(tmp_path / "x.csv", x)
+    y_path = _write_table(tmp_path / "y.csv", np.arange(6.0))
+    pairs = _write_table(tmp_path / "pairs.csv", [[0, 0], [1, 1]])
+    code = main(
+        ["estimate", "--out", str(tmp_path / "o"), "--x", x_path, "--y", y_path,
+         "--paired", pairs, "--lambda", "0.01", "--beta", "0.5"]
+    )
+    assert code == 2
+    assert f"error: {x_path}: non-finite entry (NaN or inf) in data row 5" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- match
 
 
@@ -210,6 +224,44 @@ def test_match_rejects_short_label_file(tmp_path, capsys):
     )
     assert code == 2
     assert "--labels-y" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "label_args, message",
+    [
+        (["--labels-x", "lx.txt", "--labels-y", "ly.txt"], "--labels-y has 5 labels for a table of 8 rows"),
+        (["--labels-x", "lx.txt"], "--labels-x and --labels-y must be given together"),
+    ],
+    ids=["short-file", "one-sided"],
+)
+def test_match_checks_label_files_before_fitting(tmp_path, capsys, label_args, message):
+    # no --paired: the fit itself would fail, so only a load-time check
+    # can name the label flags
+    x_path = _write_table(tmp_path / "x.csv", np.arange(8.0))
+    y_path = _write_table(tmp_path / "y.csv", np.arange(8.0))
+    (tmp_path / "lx.txt").write_text("a\n" * 8)
+    (tmp_path / "ly.txt").write_text("a\n" * 5)
+    label_args = [str(tmp_path / arg) if arg.endswith(".txt") else arg for arg in label_args]
+    code = main(
+        ["match", "--out", str(tmp_path / "o"), "--x", x_path, "--y", y_path, "--b", "4"]
+        + label_args
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_match_checks_truth_file_before_fitting(tmp_path, capsys):
+    x_path = _write_table(tmp_path / "x.csv", np.arange(8.0))
+    y_path = _write_table(tmp_path / "y.csv", np.arange(8.0))
+    truth = _write_table(tmp_path / "truth.csv", [[0, 0, 0], [1, 1, 1]])
+    code = main(
+        [
+            "match", "--out", str(tmp_path / "o"), "--x", x_path, "--y", y_path,
+            "--truth", truth, "--b", "4",
+        ]
+    )
+    assert code == 2
+    assert "--truth file must have two columns" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- summarize

@@ -147,6 +147,14 @@ def test_load_table_rejects_bad_input(tmp_path):
         load_table(ragged)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_table_rejects_non_finite_entries(tmp_path, bad):
+    path = tmp_path / "t.csv"
+    path.write_text(f"a,b\n1,2\n3,{bad}\n5,6\n")
+    with pytest.raises(ValueError, match=r"t\.csv: non-finite entry .* data row 2$"):
+        load_table(path)
+
+
 # ------------------------------------------------------------ split_features
 
 

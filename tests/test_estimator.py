@@ -73,6 +73,20 @@ def test_sample_set_allows_empty_pools():
     assert data.pooled_x.shape == (4, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["paired_x", "paired_y", "unpaired_x", "unpaired_y"])
+def test_sample_set_rejects_non_finite_entries(name, bad):
+    arrays = {
+        "paired_x": np.zeros((3, 2)),
+        "paired_y": np.zeros((3, 1)),
+        "unpaired_x": np.zeros((5, 2)),
+        "unpaired_y": np.zeros((4, 1)),
+    }
+    arrays[name][1, 0] = bad
+    with pytest.raises(ValueError, match=f"^{name} has a non-finite entry"):
+        SampleSet(**arrays)
+
+
 # ------------------------------------------------------------------- config
 
 
@@ -269,6 +283,14 @@ def test_ridge_system_jitter_matches_solve_alpha():
     unsalvageable = RidgeSystem(-np.eye(3), 0.0)
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
         unsalvageable.solve(np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ridge_system_rejects_non_finite_h(bad):
+    system = RidgeSystem(np.eye(3), 0.1)
+    np.testing.assert_allclose(system.solve(np.ones(3)), np.ones(3) / 1.1, rtol=1e-15)
+    with pytest.raises(ValueError, match="non-finite"):
+        system.solve(np.array([1.0, bad, 0.0]))
 
 
 def test_fit_singular_ridge_system_takes_jitter_path(small_data):

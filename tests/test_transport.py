@@ -11,6 +11,7 @@ from semismi import (
     cost_matrix,
     plan_entropy,
     sinkhorn_solve,
+    transport,
     uniform_plan,
 )
 
@@ -179,6 +180,87 @@ def test_plan_entropy_handles_zeros():
     plan = TransportPlan(pi, np.zeros(2), np.zeros(2))
     expected = 2 * 0.5 * (np.log(0.5) - 1.0)
     assert plan_entropy(plan) == pytest.approx(expected, abs=1e-12)
+
+
+def _cap_hit_plan():
+    rng = np.random.default_rng(6)
+    params = SinkhornParams(max_inner_iters=2, marginal_tol=1e-14)
+    with pytest.warns(RuntimeWarning, match="sweep cap"):
+        plan = sinkhorn_solve(50.0 * rng.standard_normal((20, 20)), beta=0.0, params=params)
+    assert not plan.converged
+    return plan
+
+
+def _fallback_plan():
+    rng = np.random.default_rng(5)
+    cost = rng.standard_normal((10, 8))
+    cold = sinkhorn_solve(cost, beta=0.3, params=SinkhornParams())
+    init = (cold.row_potential + 800.0, cold.col_potential + 800.0)
+    return sinkhorn_solve(cost, beta=0.3, params=SinkhornParams(), init=init)
+
+
+DUAL_ENTROPY_PLANS = {
+    "converged": lambda: sinkhorn_solve(
+        np.random.default_rng(1).standard_normal((25, 13)), beta=0.3, params=SinkhornParams()
+    ),
+    "cap-hit": _cap_hit_plan,
+    "beta-one": lambda: sinkhorn_solve(
+        np.random.default_rng(0).standard_normal((6, 4)), beta=1.0, params=SinkhornParams()
+    ),
+    "single-row": lambda: sinkhorn_solve(
+        np.array([[3.0, -1.0, 0.5]]), beta=0.2, params=SinkhornParams()
+    ),
+    "warm-start-fallback": _fallback_plan,
+    "uniform": lambda: uniform_plan(4, 6),
+}
+
+
+@pytest.mark.parametrize("make_plan", DUAL_ENTROPY_PLANS.values(), ids=DUAL_ENTROPY_PLANS.keys())
+def test_recorded_entropy_matches_entrywise_sum(make_plan):
+    # the solver's entropy comes from the potentials and the marginals;
+    # summing pi (log pi - 1) over the bare matrix must agree
+    plan = make_plan()
+    assert plan.entropy is not None
+    assert plan_entropy(plan) == plan.entropy
+    assert plan.entropy == pytest.approx(plan_entropy(plan.pi), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("shift", [40.0, -40.0])
+def test_scalings_past_threshold_are_absorbed(shift):
+    # shifting both potentials by 40 scales the warm kernel by e^(+-80):
+    # still finite, so no log-domain rebuild, but the first row scalings
+    # land near e^(-+80), far past e^(+-ABSORB_THRESHOLD)
+    rng = np.random.default_rng(5)
+    cost = rng.standard_normal((10, 8))
+    params = SinkhornParams()
+    cold = sinkhorn_solve(cost, beta=0.3, params=params)
+    phi, psi = cold.row_potential + shift, cold.col_potential + shift
+    kernel = np.exp(phi[:, None] + 0.7 * cost / params.epsilon + psi[None, :])
+    assert np.all(np.isfinite(kernel))
+    first_row_scalings = (1.0 / 10) / kernel.sum(axis=1)
+    assert np.all(np.abs(np.log(first_row_scalings)) > transport.ABSORB_THRESHOLD)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warm = sinkhorn_solve(cost, beta=0.3, params=params, init=(phi, psi))
+    assert warm.converged
+    assert_valid_plan(warm, 10, 8, tol=1e-10)
+    np.testing.assert_allclose(warm.pi, cold.pi, atol=1e-10)
+
+
+def test_drifting_scalings_are_absorbed_before_they_overflow():
+    # at epsilon = 0.01 the scalings drift by orders of magnitude per
+    # sweep; only absorbing them past the threshold keeps u * M * v in
+    # range, so the one warning is the honest sweep-cap report
+    rng = np.random.default_rng(2)
+    cost = 10.0 * rng.standard_normal((15, 15))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        plan = sinkhorn_solve(cost, beta=0.0, params=SinkhornParams(epsilon=0.01))
+    assert [str(w.message).split(" (")[0] for w in caught] == ["sinkhorn_solve hit the sweep cap"]
+    assert np.all(np.isfinite(plan.pi))
+    row_err = np.max(np.abs(plan.pi.sum(axis=1) - 1.0 / 15.0))
+    col_err = np.max(np.abs(plan.pi.sum(axis=0) - 1.0 / 15.0))
+    assert plan.marginal_error == pytest.approx(max(row_err, col_err), rel=1e-12)
 
 
 def test_cost_matrix_is_cross_ratio():
