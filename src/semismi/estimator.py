@@ -208,7 +208,7 @@ def fit(data: SampleSet, config: EstimatorConfig, basis: BasisSet | None = None)
     K_pair, L_pair = K_all[:, :n], L_all[:, :n]
     K_unpair, L_unpair = K_all[:, n:], L_all[:, n:]
     H = quadratic_term(K_all, L_all)
-    # H and lam are fixed for the whole fit: factor once, solve per round.
+    # H and lam are fixed for the whole fit: decompose once, solve per round.
     ridge = RidgeSystem(H, config.lam)
     params = config.sinkhorn
     plan = uniform_plan(n_x, n_y)

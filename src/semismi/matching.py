@@ -94,6 +94,10 @@ def topk_accuracy(plan, truth, k: int = 1) -> float:
     truth = [(int(i), int(j)) for i, j in truth]
     if not truth:
         raise ValueError("truth is empty")
+    n_x, n_y = pi.shape
+    for i, j in truth:
+        if not (0 <= i < n_x and 0 <= j < n_y):
+            raise ValueError(f"truth pair ({i}, {j}) is out of range for a {n_x}x{n_y} plan")
     hits = 0
     for i, j in truth:
         row = pi[i]

@@ -5,10 +5,15 @@ are exercised exactly as a shell user would see them.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semismi
 from semismi.cli import main
 
 
@@ -30,6 +35,18 @@ PIPELINE_TIMINGS = {"load_seconds", "cv_seconds", "fit_seconds", "write_seconds"
 
 def _timing_keys(out):
     return set(json.loads((out / "manifest.json").read_text())["timings"])
+
+
+def test_python_dash_m_runs_the_cli_without_install():
+    # only the source tree on the path, as in a fresh checkout
+    src = str(Path(semismi.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "semismi", "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "benchmark" in proc.stdout
 
 
 # ----------------------------------------------------------------- estimate

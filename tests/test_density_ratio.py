@@ -1,9 +1,15 @@
 """Tests for the closed-form ridge fit of the density-ratio weights."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+import semismi
 from semismi import (
+    CvGrid,
     RatioModel,
     mixed_linear_term,
     quadratic_term,
@@ -11,7 +17,9 @@ from semismi import (
     ratio_pairs,
     sample_basis,
     solve_alpha,
+    uniform_plan,
 )
+from semismi.density_ratio import JITTER_SCALE, SOLVE_RTOL, RidgeSystem
 from semismi.kernels import feature_columns
 
 from conftest import make_dataset
@@ -134,7 +142,7 @@ def test_solve_alpha_jitter_rescues_singular_system():
 
 
 def test_solve_alpha_unsalvageable_system_raises():
-    # a negative-definite H can never pass the SPD solve, jitter or not
+    # a negative-definite H is never positive definite, jitter or not
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
         solve_alpha(-np.eye(3), np.ones(3), 0.0)
 
@@ -142,6 +150,104 @@ def test_solve_alpha_unsalvageable_system_raises():
 def test_solve_alpha_rejects_negative_ridge():
     with pytest.raises(ValueError, match="non-negative"):
         solve_alpha(np.eye(2), np.ones(2), -0.1)
+
+
+def test_ridge_system_rejects_non_finite_H():
+    with pytest.raises(ValueError, match="H has non-finite"):
+        RidgeSystem(np.diag([1.0, np.nan]), 0.1)
+
+
+def test_ridge_system_matches_dense_solve_on_gaussian_features():
+    # the b = 200 system a default fit builds, at every lambda of the
+    # default CV grid; H is singular to rounding, so at lam = 1e-4
+    # H + lam I has condition ~3e5
+    data, _, K_all, L_all = _features(seed=4, b=200, n=100, n_x=300, n_y=300)
+    H = quadratic_term(K_all, L_all)
+    n = data.n
+    h = mixed_linear_term(
+        K_all[:, :n], L_all[:, :n], K_all[:, n:], L_all[:, n:],
+        uniform_plan(data.n_x, data.n_y).pi, 0.5,
+    )
+    for lam in CvGrid().lambdas:
+        expected = np.linalg.solve(H + lam * np.eye(200), h)
+        got = RidgeSystem(H, lam).solve(h)
+        assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+def _cholesky_solves(H, h, lam):
+    """Whether a Cholesky solve with the same jitter retry and checks succeeds."""
+    b = H.shape[0]
+    for ridge in (lam, lam + JITTER_SCALE * np.trace(H) / b):
+        A = H + ridge * np.eye(b)
+        try:
+            factor = scipy.linalg.cho_factor(A)
+        except np.linalg.LinAlgError:
+            continue
+        alpha = scipy.linalg.cho_solve(factor, h)
+        if np.isfinite(alpha).all() and (
+            np.linalg.norm(A @ alpha - h) <= SOLVE_RTOL * np.linalg.norm(h)
+        ):
+            return True
+    return False
+
+
+def _spectral_system(seed):
+    """Symmetric H with a chosen spectrum, and h inside or across its range.
+
+    Every third seed zeroes some eigenvalues, every third makes some
+    negative (-3e-6 to -3, well clear of the ridges tried), and the
+    rest are positive definite.  Odd seeds keep h inside the span of
+    the untouched eigenvectors.
+    """
+    rng = np.random.default_rng(seed)
+    b = int(rng.integers(3, 13))
+    Q, _ = np.linalg.qr(rng.standard_normal((b, b)))
+    w = 10.0 ** rng.uniform(-2, 0, b)
+    k = int(rng.integers(1, b))
+    if seed % 3 == 0:
+        w[:k] = 0.0
+    elif seed % 3 == 1:
+        w[:k] = -3.0 * 10.0 ** rng.integers(-6, 1, k)
+    H = (Q * w) @ Q.T
+    H = (H + H.T) / 2
+    h = Q[:, k:] @ rng.standard_normal(b - k) if seed % 2 else rng.standard_normal(b)
+    return H, h
+
+
+def test_ridge_system_solves_exactly_when_cholesky_does():
+    # scipy is the reference here only; the package solves with numpy
+    outcomes = set()
+    for seed in range(150):
+        H, h = _spectral_system(seed)
+        for lam in (0.0, 1e-4, 1e-2, 1.0):
+            expected = _cholesky_solves(H, h, lam)
+            try:
+                RidgeSystem(H, lam).solve(h)
+                solved = True
+            except np.linalg.LinAlgError:
+                solved = False
+            assert solved == expected, (seed, lam)
+            outcomes.add((seed % 3, expected))
+    # rank-deficient and indefinite systems each both solve and raise
+    assert {(0, True), (0, False), (1, True), (1, False), (2, True)} <= outcomes
+
+
+def test_fit_modules_make_no_scipy_linalg_call():
+    # numpy and scipy each bundle their own OpenBLAS thread pool; a fit
+    # that switches between them stalls (see RidgeSystem)
+    package = Path(semismi.__file__).parent
+    for module in ("kernels", "density_ratio", "transport", "estimator", "model_selection"):
+        tree = ast.parse((package / f"{module}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for name in names:
+                assert not name.startswith("scipy.linalg"), f"{module}.py imports {name}"
 
 
 def test_ratio_pairs_and_cross_consistent():

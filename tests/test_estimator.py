@@ -269,9 +269,10 @@ def test_fit_timings_present(small_data):
 
 
 def test_ridge_system_jitter_matches_solve_alpha():
-    # the rank-1 system of the solve_alpha jitter test, factored once as
-    # fit does: lam = 0 fails the Cholesky factor, so every solve must
-    # take the jittered factor and agree with a direct solve_alpha
+    # the rank-1 system of the solve_alpha jitter test, decomposed once
+    # as fit does: at lam = 0, H + lam I is not positive definite, so
+    # every solve must take the jittered ridge and agree with a direct
+    # solve_alpha
     v = np.array([1.0, 0.0])
     H = np.outer(v, v)
     system = RidgeSystem(H, 0.0)
@@ -295,8 +296,8 @@ def test_ridge_system_rejects_non_finite_h(bad):
 
 def test_fit_singular_ridge_system_takes_jitter_path(small_data):
     # duplicated basis centres make H rank-deficient, so at lam = 0 the
-    # once-per-fit factorization fails and the fit must go through the
-    # jitter retry; beta = 1 keeps h fixed, so alpha is one direct solve
+    # ridge is unusable and the fit must go through the jitter retry;
+    # beta = 1 keeps h fixed, so alpha is one direct solve
     base = sample_basis(small_data.pooled_x, small_data.pooled_y, 3, seed=0)
     basis = BasisSet(
         np.repeat(base.x_basis, 2, axis=0),

@@ -114,6 +114,13 @@ def test_topk_rank_counts_ties_by_column_order():
     assert topk_accuracy(pi, [(0, 0)], k=1) == 1.0
 
 
+@pytest.mark.parametrize("pair", [(-1, 2), (2, -1), (3, 0), (0, 3)])
+def test_topk_rejects_out_of_range_truth_pair(pair):
+    # a negative index used to wrap to the last row or column silently
+    with pytest.raises(ValueError, match=rf"truth pair \({pair[0]}, {pair[1]}\)"):
+        topk_accuracy(np.eye(3) / 3, [(0, 0), pair])
+
+
 def test_topk_monotone_in_k():
     rng = np.random.default_rng(2)
     pi = rng.random((10, 10))
