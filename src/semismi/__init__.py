@@ -8,54 +8,15 @@ soft matching for correspondence and layout problems.
 """
 
 from .data import SyntheticSpec, generate, load_table, make_semi_supervised, split_features
-from .density_ratio import (
-    RatioModel,
-    mixed_linear_term,
-    quadratic_term,
-    ratio_cross,
-    ratio_pairs,
-    solve_alpha,
-)
-from .estimator import (
-    EstimatorConfig,
-    FitResult,
-    SampleSet,
-    fit,
-    objective,
-    smi_estimate,
-    smi_estimate_paired,
-)
-from .kernels import (
-    BasisSet,
-    feature_columns,
-    gaussian_gram,
-    gaussian_kernel,
-    median_heuristic,
-    sample_basis,
-)
-from .matching import (
-    Assignment,
-    GridSpec,
-    grid_summarize,
-    normalize_positions,
-    plan_to_assignment,
-    topk_accuracy,
-)
-from .model_selection import CvGrid, CvReport, cross_validate, holdout_error, select_best
-from .transport import (
-    SinkhornParams,
-    TransportPlan,
-    cost_matrix,
-    plan_entropy,
-    sinkhorn_solve,
-    uniform_plan,
-)
+from .density_ratio import RatioModel
+from .estimator import EstimatorConfig, FitResult, SampleSet, fit, smi_estimate
+from .matching import GridSpec, grid_summarize, plan_to_assignment, topk_accuracy
+from .model_selection import CvGrid, CvReport, cross_validate
+from .transport import TransportPlan
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
-    "BasisSet",
     "CvGrid",
     "CvReport",
     "EstimatorConfig",
@@ -63,36 +24,16 @@ __all__ = [
     "GridSpec",
     "RatioModel",
     "SampleSet",
-    "SinkhornParams",
     "SyntheticSpec",
     "TransportPlan",
-    "cost_matrix",
     "cross_validate",
-    "feature_columns",
     "fit",
-    "gaussian_gram",
-    "gaussian_kernel",
     "generate",
     "grid_summarize",
-    "holdout_error",
     "load_table",
     "make_semi_supervised",
-    "median_heuristic",
-    "mixed_linear_term",
-    "normalize_positions",
-    "objective",
-    "plan_entropy",
     "plan_to_assignment",
-    "quadratic_term",
-    "ratio_cross",
-    "ratio_pairs",
-    "sample_basis",
-    "select_best",
-    "sinkhorn_solve",
     "smi_estimate",
-    "smi_estimate_paired",
-    "solve_alpha",
     "split_features",
     "topk_accuracy",
-    "uniform_plan",
 ]

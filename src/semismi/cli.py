@@ -97,8 +97,9 @@ class RunRecorder:
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        # numpy 2 reprs a numpy scalar as np.float64(...); write the number
+        return repr(float(value))
     if isinstance(value, (list, tuple, np.ndarray)):
         return ",".join(_format_value(v) for v in value)
     return str(value)
@@ -129,12 +130,19 @@ def _add_io_args(parser):
     parser.add_argument("--seed", type=int, default=0)
 
 
+_DEFAULTS = EstimatorConfig()
+
+
 def _add_config_args(parser):
-    parser.add_argument("--b", type=int, default=200, help="number of basis functions")
-    parser.add_argument("--epsilon", type=float, default=0.3, help="entropic weight")
+    parser.add_argument(
+        "--b", type=int, default=_DEFAULTS.n_basis, help="number of basis functions"
+    )
+    parser.add_argument("--epsilon", type=float, default=_DEFAULTS.epsilon, help="entropic weight")
     parser.add_argument("--lambda", dest="lam", type=float, default=None, help="ridge weight")
     parser.add_argument("--beta", type=float, default=None, help="paired/unpaired mixing weight")
-    parser.add_argument("--iters", type=int, default=20, help="max outer iterations")
+    parser.add_argument(
+        "--iters", type=int, default=_DEFAULTS.max_outer_iters, help="max outer iterations"
+    )
     parser.add_argument(
         "--cv", action="store_true",
         help="select lambda and beta by cross-validation (implied when either is omitted)",
@@ -157,12 +165,11 @@ def _add_file_args(parser):
 
 
 def _resolve_config(args) -> EstimatorConfig:
-    defaults = EstimatorConfig()
     return EstimatorConfig(
         n_basis=args.b,
         epsilon=args.epsilon,
-        lam=defaults.lam if args.lam is None else args.lam,
-        beta=defaults.beta if args.beta is None else args.beta,
+        lam=_DEFAULTS.lam if args.lam is None else args.lam,
+        beta=_DEFAULTS.beta if args.beta is None else args.beta,
         max_outer_iters=args.iters,
         seed=args.seed,
     )
@@ -340,7 +347,7 @@ def cmd_match(args, recorder: RunRecorder) -> None:
         _write_outputs(recorder, record, report, result.plan.pi if args.save_plan else None)
 
 
-def _parse_grid(args) -> np.ndarray:
+def _parse_grid(args, recorder: RunRecorder) -> np.ndarray:
     if bool(args.grid) == bool(args.grid_file):
         raise ValueError("summarize needs exactly one of --grid RxC or --grid-file")
     if args.grid:
@@ -351,16 +358,15 @@ def _parse_grid(args) -> np.ndarray:
         if rows < 1 or cols < 1:
             raise ValueError("--grid dimensions must be >= 1")
         return np.array([(r, c) for r in range(rows) for c in range(cols)], dtype=float)
+    recorder.note_input(args.grid_file)
     return load_table(args.grid_file)
 
 
 def cmd_summarize(args, recorder: RunRecorder) -> None:
     with recorder.phase("load_seconds"):
+        positions = _parse_grid(args, recorder)
         recorder.note_input(args.items)
         items = load_table(args.items)
-        if args.grid_file:
-            recorder.note_input(args.grid_file)
-        positions = _parse_grid(args)
         anchors = _load_index(args.anchors, "--anchors", recorder)
         grid = GridSpec(positions, anchors)
     with recorder.phase("cv_seconds"):
@@ -452,8 +458,21 @@ def cmd_replay(args) -> int:
     manifest_path = Path(args.manifest)
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    argv = list(manifest["argv"])
-    if "--out" not in argv:
+    if not isinstance(manifest, dict):
+        manifest = {}
+    argv = manifest.get("argv")
+    if not isinstance(argv, list):
+        raise ValueError(f"{manifest_path}: manifest has no 'argv' list")
+    if argv[:1] == ["replay"]:
+        # replay writes no manifest; re-running one would recurse without end
+        raise ValueError(f"{manifest_path}: manifest 'argv' is itself a replay")
+    outputs = manifest.get("outputs")
+    if not isinstance(outputs, dict):
+        raise ValueError(f"{manifest_path}: manifest has no 'outputs' table")
+    for name, rec in outputs.items():
+        if not isinstance(rec, dict) or "sha256" not in rec:
+            raise ValueError(f"{manifest_path}: manifest output {name!r} has no 'sha256'")
+    if "--out" not in argv[:-1]:
         raise ValueError("manifest argv has no --out to redirect")
     argv[argv.index("--out") + 1] = args.out
     code = main(argv)
@@ -461,7 +480,7 @@ def cmd_replay(args) -> int:
         print(f"replay: re-run failed with exit code {code}", file=sys.stderr)
         return code
     failures = 0
-    for name, rec in sorted(manifest["outputs"].items()):
+    for name, rec in sorted(outputs.items()):
         if not rec.get("deterministic", True):
             print(f"replay: {name}: skipped (timing-dependent)")
             continue
@@ -555,12 +574,13 @@ def main(argv=None) -> int:
         args.func(args, recorder)
         recorder.write_manifest()
         return 0
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # LinAlgError subclasses ValueError, so it must be caught first
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

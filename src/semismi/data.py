@@ -28,6 +28,9 @@ __all__ = [
 
 KINDS = ("random", "linear", "nonlinear", "pca")
 
+#: y = f(x) + noise of the two functional kinds.
+_MAPS = {"linear": lambda v: 0.5 * v, "nonlinear": np.sin}
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -87,7 +90,8 @@ def generate(spec: SyntheticSpec) -> SampleSet:
 
     Three independent streams (paired, x pool, y pool) guarantee that
     the pools carry no hidden pairing with each other or with the
-    paired couples.
+    paired couples.  The y pool is a hidden sample of the y stream
+    mapped like the paired x's (``random`` keeps it as it is).
     """
     dim = spec.resolved_dim
     sd = spec.resolved_noise_sd
@@ -95,33 +99,23 @@ def generate(spec: SyntheticSpec) -> SampleSet:
         np.random.default_rng(s) for s in np.random.SeedSequence(spec.seed).spawn(3)
     )
 
+    paired_x = rng_pair.standard_normal((spec.n, dim))
+    unpaired_x = rng_x.standard_normal((spec.n_x, dim))
+    hidden = rng_y.standard_normal((spec.n_y, dim))
     if spec.kind == "random":
-        paired_x = rng_pair.standard_normal((spec.n, dim))
         paired_y = rng_pair.standard_normal((spec.n, dim))
-        unpaired_x = rng_x.standard_normal((spec.n_x, dim))
-        unpaired_y = rng_y.standard_normal((spec.n_y, dim))
-    elif spec.kind == "linear":
-        paired_x = rng_pair.standard_normal((spec.n, dim))
-        paired_y = 0.5 * paired_x + sd * rng_pair.standard_normal((spec.n, dim))
-        unpaired_x = rng_x.standard_normal((spec.n_x, dim))
-        hidden = rng_y.standard_normal((spec.n_y, dim))
-        unpaired_y = 0.5 * hidden + sd * rng_y.standard_normal((spec.n_y, dim))
-    elif spec.kind == "nonlinear":
-        paired_x = rng_pair.standard_normal((spec.n, dim))
-        paired_y = np.sin(paired_x) + sd * rng_pair.standard_normal((spec.n, dim))
-        unpaired_x = rng_x.standard_normal((spec.n_x, dim))
-        hidden = rng_y.standard_normal((spec.n_y, dim))
-        unpaired_y = np.sin(hidden) + sd * rng_y.standard_normal((spec.n_y, dim))
-    else:  # pca
-        paired_x = rng_pair.standard_normal((spec.n, dim))
-        unpaired_x = rng_x.standard_normal((spec.n_x, dim))
-        hidden = rng_y.standard_normal((spec.n_y, dim))
+        unpaired_y = hidden
+    elif spec.kind == "pca":
         pool = np.vstack([paired_x, unpaired_x])
         if pool.shape[0] == 0:
             raise ValueError("pca kind needs at least one x sample to fit the axis")
         mean, w = _top_component(pool)
         paired_y = (paired_x - mean) @ w.reshape(-1, 1)
         unpaired_y = (hidden - mean) @ w.reshape(-1, 1)
+    else:
+        f = _MAPS[spec.kind]
+        paired_y = f(paired_x) + sd * rng_pair.standard_normal((spec.n, dim))
+        unpaired_y = f(hidden) + sd * rng_y.standard_normal((spec.n_y, dim))
 
     return SampleSet(paired_x, paired_y, unpaired_x, unpaired_y)
 

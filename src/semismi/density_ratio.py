@@ -33,11 +33,10 @@ JITTER_SCALE = 1e-10
 
 @dataclass
 class RatioModel:
-    """Fitted ratio model: a basis, its weight vector, and the ridge used."""
+    """Fitted ratio model: a basis and its weight vector."""
 
     basis: BasisSet
     alpha: np.ndarray
-    lam: float = 0.0
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=float).ravel()
@@ -151,8 +150,8 @@ class RidgeSystem:
         H = np.asarray(H, dtype=float)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ValueError(f"H must be a square matrix, got shape {H.shape}")
-        if lam < 0.0:
-            raise ValueError(f"ridge penalty must be non-negative, got {lam}")
+        if not 0.0 <= lam < np.inf:
+            raise ValueError(f"ridge penalty lam must be non-negative and finite, got {lam}")
         if not np.isfinite(H).all():
             raise ValueError("H has non-finite entries")
         self.H = H

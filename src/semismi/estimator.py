@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density_ratio import (
-    RatioModel,
-    RidgeSystem,
-    mixed_linear_term,
-    quadratic_term,
-    ratio_pairs,
-)
+from .density_ratio import RatioModel, RidgeSystem, mixed_linear_term, quadratic_term
 from .kernels import BasisSet, as_points, feature_columns, sample_basis
 from .transport import (
     SinkhornParams,
@@ -137,8 +131,8 @@ class EstimatorConfig:
             raise ValueError("outer_tol must be positive")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.lam < 0.0:
-            raise ValueError("lam must be non-negative")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be non-negative and finite, got {self.lam}")
         # Delegates epsilon/inner-loop validation.
         self.sinkhorn
 
@@ -240,7 +234,7 @@ def fit(data: SampleSet, config: EstimatorConfig, basis: BasisSet | None = None)
             break
     iter_s = time.perf_counter() - t1
 
-    model = RatioModel(basis, alpha, lam=config.lam)
+    model = RatioModel(basis, alpha)
     timings = {
         "setup_seconds": setup_s,
         "iteration_seconds": iter_s,
@@ -277,28 +271,15 @@ def smi_estimate(model: RatioModel, data: SampleSet) -> float:
 def smi_estimate_paired(
     model: RatioModel, plan: TransportPlan, data: SampleSet, beta: float
 ) -> float:
-    """Plan-weighted SMI diagnostic.
+    """Plan-weighted SMI diagnostic: the LSMI plug-in alpha^T h / 2 - 1/2.
 
-    beta/(2n) sum_i r(x_i, y_i) + (1-beta)/2 sum_ij pi_ij r(x'_i, y'_j) - 1/2.
-    Unlike :func:`smi_estimate` this reuses the fitted plan as the joint
-    weights, so it reflects how much dependence the plan itself captured.
+    h is the fit's linear term at ``plan`` (see :func:`mixed_linear_term`),
+    so this is beta/(2n) sum_i r(x_i, y_i) + (1-beta)/2 sum_ij pi_ij
+    r(x'_i, y'_j) - 1/2.  Unlike :func:`smi_estimate` this reuses the
+    fitted plan as the joint weights, so it reflects how much dependence
+    the plan itself captured.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    total = -0.5
-    if beta > 0.0:
-        if data.n == 0:
-            raise ValueError("beta > 0 requires at least one paired sample")
-        K_p, L_p = feature_columns(model.basis, data.paired_x, data.paired_y)
-        total += beta / (2.0 * data.n) * float(np.sum(ratio_pairs(model.alpha, K_p, L_p)))
-    if beta < 1.0:
-        if data.n_x == 0 or data.n_y == 0:
-            raise ValueError("beta < 1 requires unpaired pools")
-        if plan.pi.shape != (data.n_x, data.n_y):
-            raise ValueError(
-                f"plan shape {plan.pi.shape} does not match pools ({data.n_x}, {data.n_y})"
-            )
-        K_u, L_u = feature_columns(model.basis, data.unpaired_x, data.unpaired_y)
-        weighted = float(np.sum((K_u @ plan.pi) * L_u, axis=1) @ model.alpha)
-        total += 0.5 * (1.0 - beta) * weighted
-    return total
+    n = data.n
+    K_all, L_all = feature_columns(model.basis, data.pooled_x, data.pooled_y)
+    h = mixed_linear_term(K_all[:, :n], L_all[:, :n], K_all[:, n:], L_all[:, n:], plan.pi, beta)
+    return 0.5 * float(model.alpha @ h) - 0.5

@@ -34,8 +34,8 @@ class CvGrid:
             raise ValueError("parameter grids must be non-empty")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ValueError("holdout_fraction must lie in (0, 1)")
-        if any(l < 0 for l in self.lambdas):
-            raise ValueError("lambdas must be non-negative")
+        if any(not 0.0 <= l < np.inf for l in self.lambdas):
+            raise ValueError(f"lambdas must be non-negative and finite, got {self.lambdas}")
         if any(not 0.0 <= b <= 1.0 for b in self.betas):
             raise ValueError("betas must lie in [0, 1]")
 

@@ -58,8 +58,8 @@ class SinkhornParams:
     marginal_tol: float = 1e-11
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_inner_iters < 1:
             raise ValueError("max_inner_iters must be >= 1")
         if not self.marginal_tol > 0.0:
@@ -98,14 +98,6 @@ class TransportPlan:
     def n_y(self) -> int:
         return self.pi.shape[1]
 
-    @property
-    def row_marginal(self) -> float:
-        return 1.0 / self.n_x
-
-    @property
-    def col_marginal(self) -> float:
-        return 1.0 / self.n_y
-
 
 def uniform_plan(n_x: int, n_y: int) -> TransportPlan:
     """The independent coupling: every entry 1/(n_x * n_y)."""
@@ -124,12 +116,10 @@ def cost_matrix(alpha, K_unpair, L_unpair) -> np.ndarray:
     """Reward matrix C[i, j] = r_alpha(x'_i, y'_j) on the unpaired pools.
 
     Identical formula to the cross-pair ratio values; materialized in
-    O(b * n_x * n_y) from the factored kernel columns.
+    O(b * n_x * n_y) from the factored kernel columns.  Finiteness is
+    checked once, by :func:`sinkhorn_solve`.
     """
-    C = ratio_cross(alpha, K_unpair, L_unpair)
-    if not np.isfinite(C).all():
-        raise ValueError("cost matrix has non-finite entries")
-    return C
+    return ratio_cross(alpha, K_unpair, L_unpair)
 
 
 def plan_entropy(plan) -> float:
@@ -179,7 +169,7 @@ def sinkhorn_solve(
     cost,
     beta: float,
     params: SinkhornParams,
-    init: TransportPlan | tuple[np.ndarray, np.ndarray] | None = None,
+    init: TransportPlan | None = None,
 ) -> TransportPlan:
     """Balance exp((1 - beta) C / epsilon) to uniform marginals.
 
@@ -190,9 +180,8 @@ def sinkhorn_solve(
     first returns the current plan with ``converged=False`` and a
     warning rather than an error.
 
-    ``init`` warm-starts the dual potentials from a previous solve on a
-    nearby cost matrix; pass either the previous ``TransportPlan`` or a
-    ``(row_potential, col_potential)`` pair.  The kernel is then formed
+    ``init`` warm-starts the dual potentials from the ``TransportPlan``
+    of a previous solve on a nearby cost matrix.  The kernel is then formed
     straight from them by the absorption formula; the log-domain pass
     runs only on a cold start, or when that kernel overflows or has an
     empty row or column.
@@ -208,8 +197,6 @@ def sinkhorn_solve(
         raise ValueError("cost matrix has non-finite entries")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    if isinstance(init, TransportPlan):
-        init = (init.row_potential, init.col_potential)
 
     n_x, n_y = C.shape
     if n_x == 1 or n_y == 1:
@@ -233,10 +220,10 @@ def sinkhorn_solve(
         if q is not None:
             np.add(M, q[None, :], out=M)
 
-    warm = init is not None and init[0] is not None and init[1] is not None
+    warm = init is not None and init.row_potential is not None and init.col_potential is not None
     if warm:
-        phi = np.array(init[0], dtype=float)
-        psi = np.array(init[1], dtype=float)
+        phi = np.array(init.row_potential, dtype=float)
+        psi = np.array(init.col_potential, dtype=float)
         if phi.shape != (n_x,) or psi.shape != (n_y,):
             raise ValueError("warm-start potentials do not match the cost shape")
     else:

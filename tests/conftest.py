@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from semismi import SampleSet, sample_basis
+from semismi.estimator import SampleSet
+from semismi.kernels import sample_basis
 
 
 def make_dataset(seed=0, n=8, n_x=15, n_y=12, d_x=2, d_y=1, linked=False):

@@ -17,25 +17,19 @@ from scipy.optimize import minimize
 from semismi import (
     CvGrid,
     EstimatorConfig,
+    RatioModel,
     SampleSet,
-    SinkhornParams,
     SyntheticSpec,
     cross_validate,
     fit,
     generate,
-    sample_basis,
-    sinkhorn_solve,
     smi_estimate,
-    solve_alpha,
     topk_accuracy,
 )
 from semismi.cli import main
-from semismi.density_ratio import (
-    RatioModel,
-    mixed_linear_term,
-    quadratic_term,
-)
-from semismi.kernels import feature_columns
+from semismi.density_ratio import mixed_linear_term, quadratic_term, solve_alpha
+from semismi.kernels import feature_columns, sample_basis
+from semismi.transport import SinkhornParams, sinkhorn_solve
 
 from conftest import assert_valid_plan
 
@@ -62,7 +56,7 @@ def _paired_only_smi(xs, ys, lam=1e-3, b=200, seed=0):
     h = mixed_linear_term(
         K, L, np.zeros((basis.b, 0)), np.zeros((basis.b, 0)), np.zeros((0, 0)), 1.0
     )
-    model = RatioModel(basis, solve_alpha(H, h, lam), lam)
+    model = RatioModel(basis, solve_alpha(H, h, lam))
     data = SampleSet(xs, ys, np.zeros((0, xs.shape[1])), np.zeros((0, ys.shape[1])))
     return smi_estimate(model, data)
 

@@ -156,6 +156,43 @@ def test_estimate_rejects_bad_pair_index(tmp_path, rows):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--lambda", "nan"), ("--lambda", "inf"), ("--epsilon", "inf")])
+def test_estimate_rejects_non_finite_weights(tmp_path, capsys, flag, value):
+    argv = ["estimate", "--out", str(tmp_path / "o"), "--synthetic", "linear",
+            "--n", "12", "--nx", "30", "--ny", "30", "--b", "10",
+            "--lambda", "0.01", "--beta", "0.5", flag, value]
+    assert main(argv) == 2
+    field = {"--lambda": "lam", "--epsilon": "epsilon"}[flag]
+    assert f"error: {field} must be" in capsys.readouterr().err
+
+
+def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("ridge system remained singular after jitter; increase lam")
+
+    monkeypatch.setattr("semismi.cli.fit", singular)
+    argv = ["estimate", "--out", str(tmp_path / "o"), "--synthetic", "linear",
+            "--n", "6", "--nx", "10", "--ny", "10", "--b", "4",
+            "--lambda", "0.01", "--beta", "0.5"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ridge system")
+
+
+def test_result_objective_trace_is_a_list_of_numbers(tmp_path):
+    # written as plain floats at full precision, not as numpy scalar reprs
+    out = tmp_path / "run"
+    argv = ["estimate", "--out", str(out), "--synthetic", "linear",
+            "--n", "10", "--nx", "30", "--ny", "30", "--b", "16",
+            "--lambda", "0.01", "--beta", "0.8", "--seed", "1"]
+    assert main(argv) == 0
+    from semismi import EstimatorConfig, SyntheticSpec, fit, generate
+
+    data = generate(SyntheticSpec("linear", 10, 30, 30, seed=1))
+    result = fit(data, EstimatorConfig(n_basis=16, lam=0.01, beta=0.8, seed=1))
+    written = [float(v) for v in _read_record(out / "result.txt")["objective_trace"].split(",")]
+    assert written == result.objective_trace.tolist()
+
+
 def test_estimate_names_the_table_with_a_nan(tmp_path, capsys):
     x = np.arange(6.0)
     x[4] = np.nan
@@ -335,13 +372,17 @@ def test_summarize_surplus_items_reported(tmp_path):
     assert len(unplaced) == 2
 
 
-def test_summarize_grid_argument_errors(tmp_path):
+def test_summarize_grid_argument_errors(tmp_path, capsys):
     items = _write_table(tmp_path / "items.csv", np.zeros((3, 2)))
     base = ["summarize", "--out", str(tmp_path / "o"), "--items", items,
             "--lambda", "0.01", "--beta", "0.5"]
     assert main(base) == 2                       # neither --grid nor --grid-file
     assert main(base + ["--grid", "4"]) == 2     # malformed shape
     assert main(base + ["--grid", "0x3"]) == 2   # empty side
+    capsys.readouterr()
+    # both flags: the conflict is reported before the grid file is read
+    assert main(base + ["--grid", "3x4", "--grid-file", str(tmp_path / "missing.csv")]) == 2
+    assert "summarize needs exactly one of --grid RxC or --grid-file" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- generate
@@ -470,3 +511,24 @@ def test_replay_detects_tampering(tmp_path, capsys):
     code = main(["replay", str(manifest_path), "--out", str(tmp_path / "second")])
     assert code == 3
     assert "MISMATCH" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "manifest, missing",
+    [
+        ({"outputs": {}}, "'argv'"),
+        ({"argv": "estimate --out o", "outputs": {}}, "'argv'"),
+        ({"argv": ["replay", "manifest.json", "--out", "o"], "outputs": {}}, "'argv'"),
+        ({"argv": ["estimate", "--out", "o"]}, "'outputs'"),
+        ({"argv": ["estimate", "--out", "o"], "outputs": {"result.txt": {}}}, "'sha256'"),
+        ({"argv": ["estimate", "--out"], "outputs": {}}, "--out"),
+    ],
+    ids=["no-argv", "argv-not-a-list", "argv-is-a-replay", "no-outputs", "output-without-sha256",
+         "out-without-value"],
+)
+def test_replay_rejects_malformed_manifest(tmp_path, capsys, manifest, missing):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["replay", str(path), "--out", str(tmp_path / "second")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and missing in err

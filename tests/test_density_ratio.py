@@ -8,19 +8,19 @@ import pytest
 import scipy.linalg
 
 import semismi
-from semismi import (
-    CvGrid,
-    RatioModel,
+from semismi import CvGrid, RatioModel
+from semismi.density_ratio import (
+    JITTER_SCALE,
+    SOLVE_RTOL,
+    RidgeSystem,
     mixed_linear_term,
     quadratic_term,
     ratio_cross,
     ratio_pairs,
-    sample_basis,
     solve_alpha,
-    uniform_plan,
 )
-from semismi.density_ratio import JITTER_SCALE, SOLVE_RTOL, RidgeSystem
-from semismi.kernels import feature_columns
+from semismi.kernels import feature_columns, sample_basis
+from semismi.transport import uniform_plan
 
 from conftest import make_dataset
 
@@ -150,6 +150,9 @@ def test_solve_alpha_unsalvageable_system_raises():
 def test_solve_alpha_rejects_negative_ridge():
     with pytest.raises(ValueError, match="non-negative"):
         solve_alpha(np.eye(2), np.ones(2), -0.1)
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="lam must be non-negative and finite"):
+            solve_alpha(np.eye(2), np.ones(2), lam)
 
 
 def test_ridge_system_rejects_non_finite_H():

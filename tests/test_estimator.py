@@ -3,22 +3,11 @@
 import numpy as np
 import pytest
 
-from semismi import (
-    BasisSet,
-    EstimatorConfig,
-    SampleSet,
-    fit,
-    mixed_linear_term,
-    objective,
-    quadratic_term,
-    sample_basis,
-    smi_estimate,
-    smi_estimate_paired,
-    solve_alpha,
-    uniform_plan,
-)
-from semismi.density_ratio import RidgeSystem
-from semismi.kernels import feature_columns
+from semismi import EstimatorConfig, SampleSet, fit, smi_estimate
+from semismi.density_ratio import RidgeSystem, mixed_linear_term, quadratic_term, solve_alpha
+from semismi.estimator import objective, smi_estimate_paired
+from semismi.kernels import BasisSet, feature_columns, sample_basis
+from semismi.transport import uniform_plan
 
 from conftest import assert_valid_plan, make_dataset
 
@@ -110,6 +99,11 @@ def test_config_validation():
         EstimatorConfig(outer_tol=0.0)
     with pytest.raises(ValueError):
         EstimatorConfig(lam=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^lam must"):
+            EstimatorConfig(lam=bad)
+        with pytest.raises(ValueError, match="^epsilon must"):
+            EstimatorConfig(epsilon=bad)
 
 
 # ---------------------------------------------------------------- objective

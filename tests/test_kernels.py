@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semismi import (
+from semismi.kernels import (
     BasisSet,
     feature_columns,
     gaussian_gram,

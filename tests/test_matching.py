@@ -5,16 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from semismi import (
-    Assignment,
-    EstimatorConfig,
-    GridSpec,
-    grid_summarize,
-    normalize_positions,
-    plan_to_assignment,
-    topk_accuracy,
-    uniform_plan,
-)
+from semismi import EstimatorConfig, GridSpec, grid_summarize, plan_to_assignment, topk_accuracy
+from semismi.matching import Assignment, normalize_positions
+from semismi.transport import uniform_plan
 
 
 # ---------------------------------------------------------------- Assignment

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from semismi import CvGrid, EstimatorConfig, cross_validate, holdout_error
-from semismi.model_selection import select_best
+from semismi import CvGrid, EstimatorConfig, cross_validate
+from semismi.model_selection import holdout_error, select_best
 
 from conftest import make_dataset
 from test_estimator import constant_ratio_setup
@@ -26,6 +26,9 @@ def test_grid_validation():
         CvGrid(holdout_fraction=1.0)
     with pytest.raises(ValueError):
         CvGrid(lambdas=(-0.1,))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="lambdas"):
+            CvGrid(lambdas=(0.1, bad))
 
 
 def test_holdout_error_constant_ratios():

@@ -1,17 +1,17 @@
 """Tests for the entropic transport-plan solver."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from semismi import (
+from semismi import TransportPlan, transport
+from semismi.transport import (
     SinkhornParams,
-    TransportPlan,
     cost_matrix,
     plan_entropy,
     sinkhorn_solve,
-    transport,
     uniform_plan,
 )
 
@@ -28,6 +28,9 @@ def test_uniform_plan_basics():
 def test_params_validation():
     with pytest.raises(ValueError):
         SinkhornParams(epsilon=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            SinkhornParams(epsilon=bad)
     with pytest.raises(ValueError):
         SinkhornParams(max_inner_iters=0)
     with pytest.raises(ValueError):
@@ -133,7 +136,9 @@ def test_unusable_warm_start_falls_back_to_log_domain(shift):
     cost = rng.standard_normal((10, 8))
     params = SinkhornParams()
     cold = sinkhorn_solve(cost, beta=0.3, params=params)
-    init = (cold.row_potential + shift, cold.col_potential + shift)
+    init = replace(
+        cold, row_potential=cold.row_potential + shift, col_potential=cold.col_potential + shift
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         warm = sinkhorn_solve(cost, beta=0.3, params=params, init=init)
@@ -195,7 +200,9 @@ def _fallback_plan():
     rng = np.random.default_rng(5)
     cost = rng.standard_normal((10, 8))
     cold = sinkhorn_solve(cost, beta=0.3, params=SinkhornParams())
-    init = (cold.row_potential + 800.0, cold.col_potential + 800.0)
+    init = replace(
+        cold, row_potential=cold.row_potential + 800.0, col_potential=cold.col_potential + 800.0
+    )
     return sinkhorn_solve(cost, beta=0.3, params=SinkhornParams(), init=init)
 
 
@@ -241,7 +248,9 @@ def test_scalings_past_threshold_are_absorbed(shift):
     assert np.all(np.abs(np.log(first_row_scalings)) > transport.ABSORB_THRESHOLD)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        warm = sinkhorn_solve(cost, beta=0.3, params=params, init=(phi, psi))
+        warm = sinkhorn_solve(
+            cost, beta=0.3, params=params, init=replace(cold, row_potential=phi, col_potential=psi)
+        )
     assert warm.converged
     assert_valid_plan(warm, 10, 8, tol=1e-10)
     np.testing.assert_allclose(warm.pi, cold.pi, atol=1e-10)
@@ -276,8 +285,10 @@ def test_cost_matrix_is_cross_ratio():
 
 
 def test_cost_matrix_rejects_non_finite():
-    with pytest.raises(ValueError):
-        cost_matrix(np.array([np.inf]), np.ones((1, 2)), np.ones((1, 2)))
+    # the reward's finiteness is checked once, where the solve consumes it
+    C = cost_matrix(np.array([np.inf]), np.ones((1, 2)), np.ones((1, 2)))
+    with pytest.raises(ValueError, match="non-finite"):
+        sinkhorn_solve(C, beta=0.5, params=SinkhornParams())
 
 
 def test_log_domain_survives_extreme_costs():
