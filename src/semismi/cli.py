@@ -332,6 +332,7 @@ def cmd_match(args, recorder: RunRecorder) -> None:
         "smi": smi,
         "iterations": result.iterations_run,
         "converged": result.converged,
+        "plan_feasible": result.plan.converged,
     }
     if local:
         record["top1_accuracy"] = topk_accuracy(result.plan, local, 1)

@@ -178,10 +178,12 @@ def fit(data: SampleSet, config: EstimatorConfig, basis: BasisSet | None = None)
 
     Starts from the uniform plan, runs at most ``max_outer_iters``
     rounds of (weights, plan) updates, and stops once the plan moves by
-    at most ``outer_tol`` in Frobenius norm.  The objective value is
-    recorded once after the first weight solve (index 0) and then after
-    every completed round, so consecutive trace entries are directly
-    comparable.
+    at most ``outer_tol`` in Frobenius norm.  ``converged`` also
+    requires the final plan to meet its marginals (``plan.converged``),
+    so a fit whose last Sinkhorn solve hit its sweep cap says so.  The
+    objective value is recorded once after the first weight solve
+    (index 0) and then after every completed round, so consecutive
+    trace entries are directly comparable.
 
     ``basis`` overrides the internally sampled basis; callers that
     compare fits (cross-validation, invariance checks) pass one
@@ -230,7 +232,7 @@ def fit(data: SampleSet, config: EstimatorConfig, basis: BasisSet | None = None)
         trace.append(objective(H, h, alpha, plan, config.lam, config.epsilon))
         iterations = t
         if gap <= config.outer_tol:
-            converged = True
+            converged = plan.converged
             break
     iter_s = time.perf_counter() - t1
 

@@ -14,6 +14,19 @@ them whenever one leaves [exp(-ABSORB_THRESHOLD), exp(ABSORB_THRESHOLD)]
 cannot overflow while the hot loop stays two matrix-vector products per
 sweep.  The plan's entropy follows from those potentials:
 log pi_ij = phi_i + S_ij + psi_j, so no logarithm of the plan is taken.
+
+Slow solves switch to over-relaxed sweeps, u <- u^(1-w) (a / K v)^w and
+likewise for v (Thibault, Chizat, Dossal and Papadakis, arXiv 1711.01851;
+Lehmann, von Renesse, Sambale and Uschmajew, arXiv 2012.12562).  Every
+solve starts with plain sweeps (w = 1).  Once the per-sweep shrink factor
+rho of the column violation has settled above RELAX_RATE_FLOOR, the
+solve relaxes with w = 2 / (1 + sqrt(1 - rho)), at most RELAX_OMEGA_CAP,
+and falls back to plain sweeps if the violation grows past
+RELAX_FALLBACK times its value at the switch.  Fast solves never switch,
+so they run exactly the plain operations.  A relaxed solve ends with a
+plain row half-step, so its plan meets the rows exactly, as a plain
+solve's does.  The plan is the sub-problem's unique optimum either way;
+only the number of sweeps changes.
 """
 
 from __future__ import annotations
@@ -40,6 +53,31 @@ __all__ = [
 ABSORB_THRESHOLD = 33.0
 _ABSORB_LOW = math.exp(-ABSORB_THRESHOLD)
 _ABSORB_HIGH = math.exp(ABSORB_THRESHOLD)
+# Over-relaxation.  The figures below are sweep totals over 123 warm
+# solves sampled from the cross-validation of two perfbench cv_estimate
+# inputs (linear-1, random-4; 500 x 500), 3,357 at w = 1.
+#: Per-sweep shrink factor of the column violation above which a solve
+#: counts as slow and relaxes.  Floors of 0.5, 0.6 and 0.7 cut the
+#: sweeps by 42%, 41% and 37%; 0.6 keeps every solve of perfbench's
+#: large_fit and of ``semismi benchmark`` plain, where 0.5 relaxes two
+#: of large_fit's 40 inputs.
+RELAX_RATE_FLOOR = 0.6
+#: Two consecutive shrink factors closer than this count as settled.
+#: 0.005, 0.01, 0.02 and 0.05 cut the sweeps by 40%, 41%, 41% and 39%.
+RELAX_SETTLED = 0.01
+#: Plain sweeps that must still lie ahead at the settled rate for a
+#: switch.  Without it, 3 of the 123 solves took one sweep more than
+#: plain ones, relaxing just before they would have converged.
+RELAX_MIN_LEFT = 3
+#: Largest over-relaxation weight; the rate formula tends to 2, where
+#: the relaxed iteration stops converging.  On a 60 x 50 Gaussian
+#: reward at epsilon 0.03 (922 plain sweeps), caps of 1.6, 1.8 and 1.9
+#: took 223, 114 and 276 sweeps.
+RELAX_OMEGA_CAP = 1.8
+#: Relaxing stops, and the rate is measured afresh, once the violation
+#: exceeds its value at the switch by this factor.  On that reward a
+#: factor of 2 took 302 sweeps, 10 and 100 took 114 and 117.
+RELAX_FALLBACK = 10.0
 
 
 @dataclass
@@ -176,9 +214,12 @@ def sinkhorn_solve(
     Sweeps alternate exact row balancing with exact column balancing;
     the iteration stops once the marginal not currently enforced is
     violated by at most ``params.marginal_tol`` (so the returned plan
-    meets both constraints to that tolerance).  Hitting the sweep cap
-    first returns the current plan with ``converged=False`` and a
-    warning rather than an error.
+    meets both constraints to that tolerance).  A slow solve
+    over-relaxes both half-steps (see the module docstring) and ends
+    with one exact row half-step, whose matrix-vector product
+    ``iterations`` does not count.  Hitting the sweep cap first returns
+    the current plan with ``converged=False``, its actual marginal
+    violation in ``marginal_error`` and a warning rather than an error.
 
     ``init`` warm-starts the dual potentials from the ``TransportPlan``
     of a previous solve on a nearby cost matrix.  The kernel is then formed
@@ -248,38 +289,88 @@ def sinkhorn_solve(
     if warm:
         # The absorbed kernel of the warm potentials is usable as it
         # stands unless they overflow it or leave a row or column empty.
+        # Its row sums are also the first sweep's M v.
         with np.errstate(over="ignore", invalid="ignore"):
             log_kernel(phi, psi)
             np.exp(M, out=M)
-            warm = _positive_finite(M.dot(v)) and _positive_finite(M_T.dot(u))
+            Kv = M.dot(v)
+            warm = _positive_finite(Kv) and _positive_finite(M_T.dot(u))
     it = 0
     if not warm:
         phi, psi = rebuild()  # M: columns exactly balanced, one sweep
+        Kv = M.dot(v)
         it = 1
     dev = np.empty(n_y)
+    row_step = np.empty(n_x)
     converged = False
     err = np.inf
+    # omega > 1 while relaxing; may_relax turns False once a relaxed run
+    # has met the column tolerance, so the solve ends with plain sweeps.
+    omega = 1.0
+    may_relax = True
+    last_err = last_ratio = err_at_switch = np.inf
     while it < params.max_inner_iters:
         it += 1
-        np.divide(a, M.dot(v), out=u)
+        if omega == 1.0:
+            np.divide(a, Kv, out=u)
+        else:
+            # u <- u (a / rowsum)^omega = u^(1 - omega) (a / Kv)^omega
+            np.multiply(u, Kv, out=row_step)
+            np.divide(a, row_step, out=row_step)
+            u *= np.power(row_step, omega, out=row_step)
         col_weights = M_T.dot(u)
         # violation of the column marginals before v rebalances them
         np.multiply(v, col_weights, out=dev)
         err = max(_max(dev) - b, b - _min(dev))
+        if err <= tol and omega != 1.0:
+            # A relaxed u leaves the rows inexact and the total mass off
+            # by up to n_x * tol, which moves the recorded objective by
+            # more than its monotonicity allows.  End as a plain sweep
+            # does: rows exact (M v is current), then the column test.
+            omega = 1.0
+            may_relax = False
+            np.divide(a, Kv, out=u)
+            col_weights = M_T.dot(u)
+            np.multiply(v, col_weights, out=dev)
+            err = max(_max(dev) - b, b - _min(dev))
         if err <= tol:
             converged = True
             break
         if not err < np.inf:
             phi, psi = rebuild()
             uv.fill(1.0)
+            Kv = M.dot(v)
+            omega = 1.0
+            last_err = last_ratio = np.inf
             continue
-        np.divide(b, col_weights, out=v)
+        if omega == 1.0:
+            if may_relax:
+                ratio = err / last_err
+                if (
+                    RELAX_RATE_FLOOR < ratio < 1.0
+                    and abs(ratio - last_ratio) < RELAX_SETTLED
+                    and err * ratio**RELAX_MIN_LEFT > tol
+                ):
+                    omega = min(2.0 / (1.0 + math.sqrt(1.0 - ratio)), RELAX_OMEGA_CAP)
+                    err_at_switch = err
+                last_ratio = ratio
+                last_err = err
+        elif err > RELAX_FALLBACK * err_at_switch:
+            omega = 1.0
+            last_err = last_ratio = np.inf
+        if omega == 1.0:
+            np.divide(b, col_weights, out=v)
+        else:
+            # dev holds the column sums, so likewise v <- v (b / colsum)^omega
+            np.divide(b, dev, out=dev)
+            v *= np.power(dev, omega, out=dev)
         if _max(uv) > _ABSORB_HIGH or _min(uv) < _ABSORB_LOW:
             phi += np.log(u)
             psi += np.log(v)
             log_kernel(phi, psi)
             np.exp(M, out=M)
             uv.fill(1.0)
+        Kv = M.dot(v)
 
     pi = M
     pi *= u[:, None]

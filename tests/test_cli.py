@@ -255,6 +255,7 @@ def test_match_scores_truth_and_labels(tmp_path):
     assert 0.0 <= float(record["top1_accuracy"]) <= 1.0
     assert float(record["top2_accuracy"]) >= float(record["top1_accuracy"])
     assert 0.0 <= float(record["class_accuracy"]) <= 1.0
+    assert record["plan_feasible"] == "true"
     # assignment refers to original table rows, all unpaired
     lines = (out / "assignment.csv").read_text().splitlines()[1:]
     rows = {int(line.split(",")[0]) for line in lines}

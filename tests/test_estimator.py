@@ -198,6 +198,16 @@ def test_fit_returns_valid_plan(small_data):
     assert_valid_plan(res.plan, small_data.n_x, small_data.n_y)
 
 
+def test_fit_with_an_infeasible_final_plan_is_not_converged(small_data):
+    # at epsilon = 1e-4 every inner solve stops at its sweep cap short of
+    # marginal_tol; the plan gap may still settle, but the fit must not
+    # call itself converged around a plan that misses its marginals
+    with pytest.warns(RuntimeWarning, match="sweep cap"):
+        res = fit(small_data, EstimatorConfig(n_basis=6, epsilon=1e-4, seed=1))
+    assert not res.plan.converged
+    assert not res.converged
+
+
 def test_fit_deterministic(small_data):
     cfg = EstimatorConfig(n_basis=6, beta=0.5, seed=3)
     r1 = fit(small_data, cfg)

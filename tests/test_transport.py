@@ -320,3 +320,75 @@ def test_large_constant_shift_absorbed():
     assert shifted.converged
     assert_valid_plan(shifted, 10, 7, tol=1e-8)
     np.testing.assert_allclose(shifted.pi, base.pi, atol=1e-8)
+
+
+def _plain_sinkhorn(cost, beta, params, init):
+    """Reference omega = 1 scaling from warm potentials, with the
+    solver's own operations in its order; returns (plan, sweeps, converged)."""
+    n_x, n_y = cost.shape
+    a, b = 1.0 / n_x, 1.0 / n_y
+    M = cost * ((1.0 - beta) / params.epsilon)
+    M += init.row_potential[:, None]
+    M += init.col_potential[None, :]
+    np.exp(M, out=M)
+    u, v = np.ones(n_x), np.ones(n_y)
+    for sweep in range(1, params.max_inner_iters + 1):
+        u = a / M.dot(v)
+        col_weights = M.T.dot(u)
+        dev = v * col_weights
+        if max(dev.max() - b, b - dev.min()) <= params.marginal_tol:
+            return M * u[:, None] * v, sweep, True
+        v = b / col_weights
+    return M * u[:, None] * v, params.max_inner_iters, False
+
+
+# Rewards whose plain sweeps shrink the violation by 0.86 to 0.99 per
+# sweep (slow) and by 0.33, under RELAX_RATE_FLOOR (fast).
+SLOW = dict(cost=np.random.default_rng(10).standard_normal((60, 50)), beta=0.0, epsilon=0.05)
+FAST = dict(cost=np.random.default_rng(11).standard_normal((60, 50)), beta=0.5, epsilon=0.3)
+
+
+def _solve_both(case, **overrides):
+    params = SinkhornParams(epsilon=case["epsilon"], **overrides)
+    init = uniform_plan(*case["cost"].shape)
+    plan = sinkhorn_solve(case["cost"], beta=case["beta"], params=params, init=init)
+    return plan, _plain_sinkhorn(case["cost"], case["beta"], params, init), params
+
+
+def test_slow_solves_relax_to_the_same_plan_in_fewer_sweeps():
+    plan, (ref, ref_sweeps, ref_converged), params = _solve_both(SLOW)
+    assert ref_converged and ref_sweeps > 200
+    assert plan.converged
+    assert plan.iterations <= 0.7 * ref_sweeps
+    assert plan.marginal_error <= params.marginal_tol
+    assert_valid_plan(plan, 60, 50, tol=params.marginal_tol)
+    # a relaxed solve ends on an exact row half-step, as plain ones do
+    assert np.max(np.abs(plan.pi.sum(axis=1) - 1.0 / 60)) < 1e-15
+    # both plans meet the marginals to marginal_tol around one unique
+    # optimum, so they agree entry by entry on that scale (1.1 times
+    # marginal_tol here; ten times is allowed)
+    np.testing.assert_allclose(plan.pi, ref, rtol=0.0, atol=10 * params.marginal_tol)
+
+
+def test_fast_solves_keep_the_plain_sweeps_bit_for_bit():
+    plan, (ref, ref_sweeps, ref_converged), _ = _solve_both(FAST)
+    assert ref_converged
+    assert plan.iterations == ref_sweeps
+    np.testing.assert_array_equal(plan.pi, ref)
+
+
+def test_sweep_cap_while_relaxing_reports_the_actual_violation():
+    cap = 40
+    with pytest.warns(RuntimeWarning, match="sweep cap"):
+        plan, (ref, _, ref_converged), _ = _solve_both(SLOW, max_inner_iters=cap)
+    assert not plan.converged and not ref_converged
+    assert plan.iterations == cap
+    # relaxed sweeps leave both marginals inexact; the report must say
+    # by how much the returned plan misses them
+    row_err = np.max(np.abs(plan.pi.sum(axis=1) - 1.0 / 60))
+    col_err = np.max(np.abs(plan.pi.sum(axis=0) - 1.0 / 50))
+    assert row_err > 0.0
+    assert plan.marginal_error == pytest.approx(max(row_err, col_err), rel=1e-12)
+    # and the sweeps did relax: 40 plain ones leave a far larger violation
+    ref_err = np.max(np.abs(ref.sum(axis=1) - 1.0 / 60))
+    assert plan.marginal_error < 0.1 * ref_err
