@@ -143,10 +143,6 @@ def _add_config_args(parser):
     parser.add_argument(
         "--iters", type=int, default=_DEFAULTS.max_outer_iters, help="max outer iterations"
     )
-    parser.add_argument(
-        "--cv", action="store_true",
-        help="select lambda and beta by cross-validation (implied when either is omitted)",
-    )
 
 
 def _add_synthetic_args(parser):
@@ -247,18 +243,26 @@ def _resolve_data(args, recorder: RunRecorder):
 
 def _tune(args, recorder: RunRecorder, data):
     """The run's config, with lambda and beta chosen by CV on ``data``
-    when --cv is given or either is not pinned.  ``data=None`` skips CV.
+    unless --lambda and --beta both pin them.  ``data=None`` skips CV.
 
     Returns (config, report); report is None when CV did not run.
     """
     config = _resolve_config(args)
-    if data is None or not (args.cv or args.lam is None or args.beta is None):
+    if data is None or (args.lam is not None and args.beta is not None):
         return config, None
     report = cross_validate(data, config, CvGrid(seed=args.seed))
     config = replace(config, lam=report.best_lambda, beta=report.best_beta)
     recorder.config["lam"] = config.lam
     recorder.config["beta"] = config.beta
     return config, report
+
+
+def _plan_exit_code(plan) -> int:
+    """3, naming the violation on stderr, when the final plan missed its marginals."""
+    if plan.converged:
+        return 0
+    print(f"infeasible plan: marginal error {plan.marginal_error:.3e}", file=sys.stderr)
+    return 3
 
 
 def _tune_fit(args, recorder: RunRecorder, data):
@@ -278,7 +282,7 @@ def _tune_fit(args, recorder: RunRecorder, data):
 # Commands
 
 
-def cmd_estimate(args, recorder: RunRecorder) -> None:
+def cmd_estimate(args, recorder: RunRecorder) -> int:
     with recorder.phase("load_seconds"):
         data, _, _ = _resolve_data(args, recorder)
     config, report, result, smi = _tune_fit(args, recorder, data)
@@ -301,9 +305,10 @@ def cmd_estimate(args, recorder: RunRecorder) -> None:
             "objective_trace": result.objective_trace,
         }
         _write_outputs(recorder, record, report, result.plan.pi if args.save_plan else None)
+    return _plan_exit_code(result.plan)
 
 
-def cmd_match(args, recorder: RunRecorder) -> None:
+def cmd_match(args, recorder: RunRecorder) -> int:
     with recorder.phase("load_seconds"):
         data, x_rows, y_rows = _resolve_data(args, recorder)
         # Truth pairs that fall in the pools, as (pool position, pool position).
@@ -346,6 +351,7 @@ def cmd_match(args, recorder: RunRecorder) -> None:
         lines += [f"{x_rows[i]},{y_rows[j]}" for i, j in assignment.pairs]
         recorder.write("assignment.csv", "\n".join(lines) + "\n")
         _write_outputs(recorder, record, report, result.plan.pi if args.save_plan else None)
+    return _plan_exit_code(result.plan)
 
 
 def _parse_grid(args, recorder: RunRecorder) -> np.ndarray:
@@ -572,9 +578,9 @@ def main(argv=None) -> int:
         config = {k: v for k, v in vars(args).items() if k != "func"}
         config["out"] = str(out_dir)
         recorder = RunRecorder(args.command, raw, out_dir, config)
-        args.func(args, recorder)
+        code = args.func(args, recorder) or 0
         recorder.write_manifest()
-        return 0
+        return code
     # LinAlgError subclasses ValueError, so it must be caught first
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

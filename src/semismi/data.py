@@ -120,29 +120,26 @@ def generate(spec: SyntheticSpec) -> SampleSet:
     return SampleSet(paired_x, paired_y, unpaired_x, unpaired_y)
 
 
-def load_table(path, delimiter: str | None = None, has_header: bool | None = None) -> np.ndarray:
-    """Read a rectangular numeric table; sniffs delimiter and header.
+def load_table(path) -> np.ndarray:
+    """Read a rectangular numeric table, sniffing delimiter and header.
 
-    Returns an (n_rows, n_cols) float array.  ``delimiter=None`` picks
-    comma when the first line contains one, else whitespace;
-    ``has_header=None`` skips the first line when any of its fields is
-    non-numeric.
+    Returns an (n_rows, n_cols) float array.  The delimiter is a comma
+    when the first line contains one, else whitespace; the first line
+    is a header, and skipped, when any of its fields is non-numeric.
     """
     with open(path) as fh:
         first = fh.readline()
     if not first.strip():
         raise ValueError(f"{path}: empty table")
-    if delimiter is None:
-        delimiter = "," if "," in first else None
-    if has_header is None:
-        fields = [f for f in first.strip().split(delimiter) if f]
-        has_header = False
-        for f in fields:
-            try:
-                float(f)
-            except ValueError:
-                has_header = True
-                break
+    delimiter = "," if "," in first else None
+    has_header = False
+    fields = [f for f in first.strip().split(delimiter) if f]
+    for f in fields:
+        try:
+            float(f)
+        except ValueError:
+            has_header = True
+            break
     try:
         table = np.loadtxt(path, delimiter=delimiter, skiprows=1 if has_header else 0, ndmin=2)
     except ValueError as exc:

@@ -36,6 +36,9 @@ __all__ = [
     "smi_estimate_paired",
 ]
 
+#: ``fit`` stops once a round moves the plan by at most this (Frobenius).
+OUTER_TOL = 1e-9
+
 
 @dataclass
 class SampleSet:
@@ -117,7 +120,6 @@ class EstimatorConfig:
     lam: float = 1e-3
     beta: float = 0.8
     max_outer_iters: int = 20
-    outer_tol: float = 1e-9
     seed: int = 0
     max_inner_iters: int = 1000
     marginal_tol: float = 1e-11
@@ -127,8 +129,6 @@ class EstimatorConfig:
             raise ValueError("n_basis must be >= 1")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
-        if not self.outer_tol > 0.0:
-            raise ValueError("outer_tol must be positive")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
         if not 0.0 <= self.lam < np.inf:
@@ -178,7 +178,7 @@ def fit(data: SampleSet, config: EstimatorConfig, basis: BasisSet | None = None)
 
     Starts from the uniform plan, runs at most ``max_outer_iters``
     rounds of (weights, plan) updates, and stops once the plan moves by
-    at most ``outer_tol`` in Frobenius norm.  ``converged`` also
+    at most ``OUTER_TOL`` in Frobenius norm.  ``converged`` also
     requires the final plan to meet its marginals (``plan.converged``),
     so a fit whose last Sinkhorn solve hit its sweep cap says so.  The
     objective value is recorded once after the first weight solve
@@ -231,7 +231,7 @@ def fit(data: SampleSet, config: EstimatorConfig, basis: BasisSet | None = None)
         h = mixed_linear_term(K_pair, L_pair, K_unpair, L_unpair, plan.pi, config.beta)
         trace.append(objective(H, h, alpha, plan, config.lam, config.epsilon))
         iterations = t
-        if gap <= config.outer_tol:
+        if gap <= OUTER_TOL:
             converged = plan.converged
             break
     iter_s = time.perf_counter() - t1

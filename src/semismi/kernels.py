@@ -22,6 +22,9 @@ __all__ = [
     "feature_columns",
 ]
 
+#: Pool size above which median_heuristic subsamples its points.
+MAX_POINTS = 2000
+
 
 def as_points(samples, name: str = "samples") -> np.ndarray:
     """Coerce to an (N, d) float array; 1-D input becomes a column."""
@@ -40,11 +43,11 @@ def _check_sigma(sigma: float) -> float:
     return sigma
 
 
-def median_heuristic(samples, max_points: int = 2000, seed: int = 0) -> float:
+def median_heuristic(samples, seed: int = 0) -> float:
     """Kernel bandwidth: median pairwise Euclidean distance over sqrt(2).
 
     The median runs over unordered distinct pairs only; self-distances
-    would bias it toward zero.  Pools with more than ``max_points``
+    would bias it toward zero.  Pools with more than ``MAX_POINTS``
     points are reduced to a seeded uniform subsample first, since the
     O(N^2) distance computation dominates otherwise.
 
@@ -57,9 +60,9 @@ def median_heuristic(samples, max_points: int = 2000, seed: int = 0) -> float:
     pts = as_points(samples)
     if pts.shape[0] < 2:
         raise ValueError("insufficient samples for the median heuristic (need >= 2)")
-    if pts.shape[0] > max_points:
+    if pts.shape[0] > MAX_POINTS:
         rng = np.random.default_rng(seed)
-        pts = pts[rng.choice(pts.shape[0], size=max_points, replace=False)]
+        pts = pts[rng.choice(pts.shape[0], size=MAX_POINTS, replace=False)]
     med = float(np.median(pdist(pts)))
     if med <= 0.0:
         raise ValueError("degenerate bandwidth: median pairwise distance is zero")

@@ -19,21 +19,21 @@ from .kernels import as_points, feature_columns, sample_basis
 
 __all__ = ["CvGrid", "CvReport", "holdout_error", "cross_validate", "select_best"]
 
+#: Share of the paired samples cross_validate holds out for scoring.
+HOLDOUT_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class CvGrid:
-    """Search grid and split control for cross_validate."""
+    """Search grid and split seed for cross_validate."""
 
     lambdas: tuple = (0.1, 0.01, 0.001, 0.0001)
     betas: tuple = (0.2, 0.4, 0.6, 0.8, 1.0)
-    holdout_fraction: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
         if len(self.lambdas) == 0 or len(self.betas) == 0:
             raise ValueError("parameter grids must be non-empty")
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ValueError("holdout_fraction must lie in (0, 1)")
         if any(not 0.0 <= l < np.inf for l in self.lambdas):
             raise ValueError(f"lambdas must be non-negative and finite, got {self.lambdas}")
         if any(not 0.0 <= b <= 1.0 for b in self.betas):
@@ -78,7 +78,7 @@ def cross_validate(data: SampleSet, config: EstimatorConfig, grid: CvGrid) -> Cv
     """Score every (lambda, beta) on one seeded hold-out split.
 
     The paired samples are shuffled once and split by
-    ``grid.holdout_fraction``; all unpaired samples stay in every
+    ``HOLDOUT_FRACTION``; all unpaired samples stay in every
     training set.  The kernel basis and bandwidths are sampled once
     from the full pools before the loop, so scores differ only through
     (lambda, beta).
@@ -88,7 +88,7 @@ def cross_validate(data: SampleSet, config: EstimatorConfig, grid: CvGrid) -> Cv
         raise ValueError("insufficient paired samples for CV (need >= 4)")
     rng = np.random.default_rng(grid.seed)
     perm = rng.permutation(n)
-    n_te = int(round(n * grid.holdout_fraction))
+    n_te = int(round(n * HOLDOUT_FRACTION))
     n_te = min(max(n_te, 2), n - 2)
     test_idx, train_idx = perm[:n_te], perm[n_te:]
 

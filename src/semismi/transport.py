@@ -109,15 +109,15 @@ class TransportPlan:
     """A coupling of the unpaired pools with uniform marginals.
 
     ``row_potential``/``col_potential`` are the scaled dual potentials
-    (f/epsilon, g/epsilon); a later solve on a nearby cost matrix can
-    warm-start from them.  ``entropy`` is sum_ij pi_ij (log pi_ij - 1)
-    as recorded by the solver that built ``pi``; None means unknown, and
-    :func:`plan_entropy` then sums it from the entries.
+    (f/epsilon, g/epsilon), always present; the next solve on a nearby
+    cost matrix starts from them.  ``entropy`` is sum_ij pi_ij
+    (log pi_ij - 1) as recorded by the solver that built ``pi``; None
+    means unknown, and :func:`plan_entropy` then sums it from the entries.
     """
 
     pi: np.ndarray
-    row_potential: np.ndarray | None = None
-    col_potential: np.ndarray | None = None
+    row_potential: np.ndarray
+    col_potential: np.ndarray
     converged: bool = True
     marginal_error: float = 0.0
     iterations: int = 0
@@ -127,14 +127,6 @@ class TransportPlan:
         self.pi = np.asarray(self.pi, dtype=float)
         if self.pi.ndim != 2:
             raise ValueError(f"plan must be a matrix, got shape {self.pi.shape}")
-
-    @property
-    def n_x(self) -> int:
-        return self.pi.shape[0]
-
-    @property
-    def n_y(self) -> int:
-        return self.pi.shape[1]
 
 
 def uniform_plan(n_x: int, n_y: int) -> TransportPlan:
@@ -221,11 +213,12 @@ def sinkhorn_solve(
     the current plan with ``converged=False``, its actual marginal
     violation in ``marginal_error`` and a warning rather than an error.
 
-    ``init`` warm-starts the dual potentials from the ``TransportPlan``
-    of a previous solve on a nearby cost matrix.  The kernel is then formed
-    straight from them by the absorption formula; the log-domain pass
-    runs only on a cold start, or when that kernel overflows or has an
-    empty row or column.
+    The dual potentials start from ``init``, the ``TransportPlan`` of a
+    previous solve on a nearby cost matrix, or without one from the
+    uniform plan's (-log n_x, -log n_y), exactly as with
+    ``init=uniform_plan(n_x, n_y)``.  The kernel is formed straight from
+    them by the absorption formula; the log-domain pass runs only when
+    that kernel overflows or has an empty row or column.
 
     The returned plan records its entropy, computed from the potentials
     and the plan's actual row and column sums (exact also when the
@@ -261,15 +254,14 @@ def sinkhorn_solve(
         if q is not None:
             np.add(M, q[None, :], out=M)
 
-    warm = init is not None and init.row_potential is not None and init.col_potential is not None
-    if warm:
+    if init is None:
+        phi = np.full(n_x, -np.log(n_x))
+        psi = np.full(n_y, -np.log(n_y))
+    else:
         phi = np.array(init.row_potential, dtype=float)
         psi = np.array(init.col_potential, dtype=float)
         if phi.shape != (n_x,) or psi.shape != (n_y,):
             raise ValueError("warm-start potentials do not match the cost shape")
-    else:
-        phi = np.zeros(n_x)
-        psi = np.zeros(n_y)
 
     def rebuild():
         # One log-space sweep followed by kernel materialization; safe
@@ -286,17 +278,16 @@ def sinkhorn_solve(
     # reductions; all ones, they also turn the products below into sums.
     uv = np.ones(n_x + n_y)
     u, v = uv[:n_x], uv[n_x:]
-    if warm:
-        # The absorbed kernel of the warm potentials is usable as it
-        # stands unless they overflow it or leave a row or column empty.
-        # Its row sums are also the first sweep's M v.
-        with np.errstate(over="ignore", invalid="ignore"):
-            log_kernel(phi, psi)
-            np.exp(M, out=M)
-            Kv = M.dot(v)
-            warm = _positive_finite(Kv) and _positive_finite(M_T.dot(u))
+    # The absorbed kernel of the starting potentials is usable as it
+    # stands unless they overflow it or leave a row or column empty.
+    # Its row sums are also the first sweep's M v.
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_kernel(phi, psi)
+        np.exp(M, out=M)
+        Kv = M.dot(v)
+        usable = _positive_finite(Kv) and _positive_finite(M_T.dot(u))
     it = 0
-    if not warm:
+    if not usable:
         phi, psi = rebuild()  # M: columns exactly balanced, one sweep
         Kv = M.dot(v)
         it = 1

@@ -178,6 +178,25 @@ def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("numerical failure: ridge system")
 
 
+@pytest.mark.parametrize("command, extra", [("estimate", "result.txt"), ("match", "assignment.csv")])
+def test_infeasible_final_plan_exits_3_after_writing_outputs(tmp_path, capsys, command, extra):
+    # at epsilon = 1e-4 every inner solve stops at its sweep cap: the run
+    # writes all its outputs and the manifest, then exits 3 naming the
+    # final plan's marginal error
+    out = tmp_path / "run"
+    argv = [command, "--out", str(out), "--synthetic", "linear",
+            "--n", "8", "--nx", "15", "--ny", "12", "--b", "6", "--epsilon", "1e-4",
+            "--lambda", "1e-3", "--beta", "0.8", "--seed", "1"]
+    with pytest.warns(RuntimeWarning, match="sweep cap"):
+        assert main(argv) == 3
+    assert _read_record(out / "result.txt")["plan_feasible"] == "false"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {"result.txt", extra} <= set(manifest["outputs"])
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible plan: marginal error ")
+    assert float(err.split()[-1]) > 1e-11
+
+
 def test_result_objective_trace_is_a_list_of_numbers(tmp_path):
     # written as plain floats at full precision, not as numpy scalar reprs
     out = tmp_path / "run"

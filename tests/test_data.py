@@ -128,14 +128,6 @@ def test_load_table_single_row_stays_2d(tmp_path):
     assert load_table(path).shape == (1, 3)
 
 
-def test_load_table_explicit_overrides(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text("9,9\n1,2\n")
-    np.testing.assert_array_equal(
-        load_table(path, delimiter=",", has_header=True), [[1, 2]]
-    )
-
-
 def test_load_table_rejects_bad_input(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("\n")

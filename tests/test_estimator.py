@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semismi import EstimatorConfig, SampleSet, fit, smi_estimate
+from semismi import EstimatorConfig, SampleSet, SyntheticSpec, fit, generate, smi_estimate
 from semismi.density_ratio import RidgeSystem, mixed_linear_term, quadratic_term, solve_alpha
 from semismi.estimator import objective, smi_estimate_paired
 from semismi.kernels import BasisSet, feature_columns, sample_basis
@@ -84,7 +84,6 @@ def test_config_defaults():
     assert cfg.n_basis == 200
     assert cfg.epsilon == 0.3
     assert cfg.max_outer_iters == 20
-    assert cfg.outer_tol == 1e-9
     assert cfg.sinkhorn.epsilon == 0.3
 
 
@@ -95,8 +94,6 @@ def test_config_validation():
         EstimatorConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         EstimatorConfig(max_outer_iters=0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(outer_tol=0.0)
     with pytest.raises(ValueError):
         EstimatorConfig(lam=-1.0)
     for bad in (np.nan, np.inf):
@@ -206,6 +203,26 @@ def test_fit_with_an_infeasible_final_plan_is_not_converged(small_data):
         res = fit(small_data, EstimatorConfig(n_basis=6, epsilon=1e-4, seed=1))
     assert not res.plan.converged
     assert not res.converged
+
+
+@pytest.mark.parametrize(
+    "kind, epsilon", [("linear", 1e-2), ("random", 1e-2), ("random", 1e-3)]
+)
+def test_small_epsilon_fits_on_500_pools_report_honestly(kind, epsilon):
+    # at small epsilon the inner solves are slow; whatever the fit ends
+    # with, converged must imply a feasible plan, and marginal_error must
+    # be the returned plan's own violation (linear at 1e-3, with 11 capped
+    # inner solves and about 13 s, is left to manual runs)
+    data = generate(SyntheticSpec(kind=kind, n=100, n_x=500, n_y=500, seed=1))
+    config = EstimatorConfig(epsilon=epsilon, seed=1)
+    res = fit(data, config)
+    assert res.plan.converged or not res.converged
+    pi = res.plan.pi
+    actual = max(np.max(np.abs(pi.sum(axis=1) - 1 / 500)), np.max(np.abs(pi.sum(axis=0) - 1 / 500)))
+    # equal up to the rounding of the sums (about 1e-18 here)
+    assert res.plan.marginal_error == pytest.approx(actual, rel=1e-6, abs=1e-17)
+    if res.plan.converged:
+        assert actual <= config.marginal_tol + 1e-17
 
 
 def test_fit_deterministic(small_data):

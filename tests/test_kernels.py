@@ -73,7 +73,7 @@ def test_median_heuristic_errors():
 def test_median_heuristic_subsamples_large_pools():
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((3000, 1))
-    sub = median_heuristic(pts, max_points=500)
+    sub = median_heuristic(pts)
     full = np.median(
         [abs(a - b) for i, a in enumerate(pts[:, 0]) for b in pts[i + 1 :, 0]]
     ) / np.sqrt(2.0)

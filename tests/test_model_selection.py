@@ -14,7 +14,6 @@ def test_grid_defaults():
     grid = CvGrid()
     assert grid.lambdas == (0.1, 0.01, 0.001, 0.0001)
     assert grid.betas == (0.2, 0.4, 0.6, 0.8, 1.0)
-    assert grid.holdout_fraction == 0.5
 
 
 def test_grid_validation():
@@ -22,8 +21,6 @@ def test_grid_validation():
         CvGrid(lambdas=())
     with pytest.raises(ValueError):
         CvGrid(betas=(0.5, 1.2))
-    with pytest.raises(ValueError):
-        CvGrid(holdout_fraction=1.0)
     with pytest.raises(ValueError):
         CvGrid(lambdas=(-0.1,))
     for bad in (np.nan, np.inf):

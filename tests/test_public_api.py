@@ -1,11 +1,15 @@
 """The package's top-level names are exactly those README's Library section documents."""
 
+import dataclasses
 import importlib
 import re
 import types
 from pathlib import Path
 
+import pytest
+
 import semismi
+from semismi.transport import SinkhornParams
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,6 +33,16 @@ DOCUMENTED = {
     "smi_estimate",
     "split_features",
     "topk_accuracy",
+}
+
+# Every settable option of a fit; a new one must be added here on purpose.
+OPTIONS = {
+    semismi.EstimatorConfig: {
+        "n_basis", "epsilon", "lam", "beta", "max_outer_iters", "seed",
+        "max_inner_iters", "marginal_tol",
+    },
+    SinkhornParams: {"epsilon", "max_inner_iters", "marginal_tol"},
+    semismi.CvGrid: {"lambdas", "betas", "seed"},
 }
 
 SUBMODULES = ("data", "density_ratio", "estimator", "kernels", "matching", "model_selection", "transport")
@@ -61,3 +75,8 @@ def test_readme_library_section_names_nothing_unexported():
     for module in SUBMODULES:
         public |= set(importlib.import_module(f"semismi.{module}").__all__)
     assert _library_code_names() & public <= DOCUMENTED
+
+
+@pytest.mark.parametrize("cls", OPTIONS, ids=lambda cls: cls.__name__)
+def test_option_fields_are_pinned(cls):
+    assert {field.name for field in dataclasses.fields(cls)} == OPTIONS[cls]

@@ -126,6 +126,24 @@ def test_warm_start_reaches_same_plan():
     assert warm.iterations <= cold.iterations
 
 
+@pytest.mark.parametrize("shift", [0.0, 2000.0])
+def test_cold_solve_is_the_solve_from_the_uniform_plan(shift):
+    # without init the potentials start from the uniform plan's, so a cold
+    # solve is bit for bit the warm one from uniform_plan; a shift of 2000
+    # overflows that kernel and takes both through the log-domain pass
+    cost = np.random.default_rng(12).standard_normal((9, 7)) + shift
+    params = SinkhornParams()
+    cold = sinkhorn_solve(cost, beta=0.3, params=params)
+    warm = sinkhorn_solve(cost, beta=0.3, params=params, init=uniform_plan(9, 7))
+    assert cold.converged and warm.converged
+    np.testing.assert_array_equal(cold.pi, warm.pi)
+    np.testing.assert_array_equal(cold.row_potential, warm.row_potential)
+    np.testing.assert_array_equal(cold.col_potential, warm.col_potential)
+    assert (cold.iterations, cold.entropy, cold.marginal_error) == (
+        warm.iterations, warm.entropy, warm.marginal_error
+    )
+
+
 @pytest.mark.parametrize("shift", [800.0, -800.0])
 def test_unusable_warm_start_falls_back_to_log_domain(shift):
     # +800 overflows exp on the warm kernel and -800 underflows every
