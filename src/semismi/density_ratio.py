@@ -17,6 +17,8 @@ from .kernels import BasisSet, feature_columns
 __all__ = [
     "RatioModel",
     "quadratic_term",
+    "paired_linear_term",
+    "weighted_feature_sum",
     "mixed_linear_term",
     "RidgeSystem",
     "solve_alpha",
@@ -80,6 +82,30 @@ def quadratic_term(K_all: np.ndarray, L_all: np.ndarray) -> np.ndarray:
     return (K_all @ K_all.T) * (L_all @ L_all.T) / float(n_x * n_y)
 
 
+def paired_linear_term(K_pair: np.ndarray, L_pair: np.ndarray, beta: float):
+    """Paired part of h: (beta / n) sum_i phi(x_i, y_i), or 0.0 at beta = 0."""
+    K_pair = np.asarray(K_pair, dtype=float)
+    L_pair = np.asarray(L_pair, dtype=float)
+    n = K_pair.shape[1]
+    if L_pair.shape != K_pair.shape[:1] + (n,):
+        raise ValueError("paired feature blocks must share shape (b, n)")
+    if beta == 0.0:
+        return 0.0
+    if n == 0:
+        raise ValueError("beta > 0 requires at least one paired sample")
+    return (beta / n) * np.einsum("bi,bi->b", K_pair, L_pair)
+
+
+def weighted_feature_sum(K_unpair: np.ndarray, L_unpair: np.ndarray, plan: np.ndarray):
+    """Plan-weighted feature mass m = sum_ij plan_ij K[:, i] * L[:, j].
+
+    Evaluated without materializing the b x n_x x n_y tensor:
+    m = rowsum((K @ plan) * L).  The unpaired part of h is (1 - beta) m,
+    and alpha^T m = <plan, C> for the reward matrix of alpha.
+    """
+    return np.sum((K_unpair @ plan) * L_unpair, axis=1)
+
+
 def mixed_linear_term(
     K_pair: np.ndarray,
     L_pair: np.ndarray,
@@ -90,28 +116,17 @@ def mixed_linear_term(
 ) -> np.ndarray:
     """Linear coefficient h: paired-sample mean blended with the plan.
 
-    The paired part averages phi over the n labelled couples; the
-    unpaired part takes the plan-weighted sum of phi over all
-    n_x * n_y candidate couples, evaluated without materializing the
-    b x n_x x n_y tensor:
-
-        sum_ij plan_ij K[:, i] * L[:, j] = rowsum((K @ plan) * L).
+    h = :func:`paired_linear_term` + (1 - beta) :func:`weighted_feature_sum`:
+    the paired part averages phi over the n labelled couples, the
+    unpaired part takes the plan-weighted sum of phi over all n_x * n_y
+    candidate couples.
 
     Either side may be absent (beta = 1 skips the plan, n = 0 with
     beta = 0 skips the pairs); at least one must contribute.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    K_pair = np.asarray(K_pair, dtype=float)
-    L_pair = np.asarray(L_pair, dtype=float)
-    n = K_pair.shape[1]
-    if L_pair.shape != K_pair.shape[:1] + (n,):
-        raise ValueError("paired feature blocks must share shape (b, n)")
-    parts = []
-    if beta > 0.0:
-        if n == 0:
-            raise ValueError("beta > 0 requires at least one paired sample")
-        parts.append((beta / n) * np.einsum("bi,bi->b", K_pair, L_pair))
+    h = paired_linear_term(K_pair, L_pair, beta)
     if beta < 1.0:
         K_unpair = np.asarray(K_unpair, dtype=float)
         L_unpair = np.asarray(L_unpair, dtype=float)
@@ -121,8 +136,8 @@ def mixed_linear_term(
                 f"plan shape {plan.shape} does not match unpaired features "
                 f"({K_unpair.shape[1]}, {L_unpair.shape[1]})"
             )
-        parts.append((1.0 - beta) * np.sum((K_unpair @ plan) * L_unpair, axis=1))
-    return sum(parts)
+        h = h + (1.0 - beta) * weighted_feature_sum(K_unpair, L_unpair, plan)
+    return h
 
 
 class RidgeSystem:

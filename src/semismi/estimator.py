@@ -15,12 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density_ratio import RatioModel, RidgeSystem, mixed_linear_term, quadratic_term
+from .density_ratio import (
+    RatioModel,
+    RidgeSystem,
+    mixed_linear_term,
+    paired_linear_term,
+    quadratic_term,
+)
 from .kernels import BasisSet, as_points, feature_columns, sample_basis
 from .transport import (
     SinkhornParams,
     TransportPlan,
-    cost_matrix,
     plan_entropy,
     sinkhorn_solve,
     uniform_plan,
@@ -215,20 +220,21 @@ def fit(data: SampleSet, config: EstimatorConfig, basis: BasisSet | None = None)
     iterations = 0
     t1 = time.perf_counter()
     h = mixed_linear_term(K_pair, L_pair, K_unpair, L_unpair, plan.pi, config.beta)
+    # h = paired part + (1 - beta) * the plan's feature mass, the same
+    # bits as mixed_linear_term; each solve returns the mass of its plan.
+    h_paired = paired_linear_term(K_pair, L_pair, config.beta)
     for t in range(1, config.max_outer_iters + 1):
         alpha = ridge.solve(h)
         if t == 1:
             trace.append(objective(H, h, alpha, plan, config.lam, config.epsilon))
-        # No n_x x n_y array outlives its use: the reward matrix is freed
-        # once the plan is solved, and the old plan, whose buffer takes
-        # the difference, once the gap is known.
-        new_plan = sinkhorn_solve(
-            cost_matrix(alpha, K_unpair, L_unpair), config.beta, params, init=plan
-        )
+        # Two n_x x n_y arrays at most: the solve forms the reward from
+        # its factors in the new plan's buffer, and the old plan, whose
+        # buffer takes the difference, is freed once the gap is known.
+        new_plan = sinkhorn_solve((K_unpair, alpha, L_unpair), config.beta, params, init=plan)
         plan.pi -= new_plan.pi
         gap = float(np.linalg.norm(plan.pi))
         plan = new_plan
-        h = mixed_linear_term(K_pair, L_pair, K_unpair, L_unpair, plan.pi, config.beta)
+        h = h_paired + (1.0 - config.beta) * plan.feature_mass
         trace.append(objective(H, h, alpha, plan, config.lam, config.epsilon))
         iterations = t
         if gap <= OUTER_TOL:

@@ -1,4 +1,4 @@
-"""Entropic optimal-transport step: cost matrix and Sinkhorn scaling.
+"""Entropic optimal-transport step: Sinkhorn scaling on a factored reward.
 
 Given ratio weights alpha, the plan sub-problem is
 
@@ -7,7 +7,13 @@ Given ratio weights alpha, the plan sub-problem is
 over plans with uniform row marginals 1/n_x and column marginals 1/n_y.
 Its unique optimum is a diagonal rescaling of exp((1 - beta) C / epsilon)
 — note the positive exponent: the linear term is a reward, not a cost —
-found by alternating row/column balancing.  The solver below keeps dual
+found by alternating row/column balancing.  The reward has rank b,
+C = (K * alpha)^T L, and the solver takes it as those factors: S =
+(1 - beta) C / epsilon is written by one GEMM straight into the buffer
+where the kernel G = exp(phi_i + S_ij + psi_j) and then the plan are
+formed, so a solve holds one n_x x n_y array.  The plan's feature mass
+m = rowsum((K pi) * L) gives <pi, C> = alpha^T m and the fit's linear
+term alike.  The solver below keeps dual
 potentials in log space and absorbs the running scaling factors into
 them whenever one leaves [exp(-ABSORB_THRESHOLD), exp(ABSORB_THRESHOLD)]
 (Schmitzer's stabilized scaling), so arbitrarily large cost magnitudes
@@ -15,7 +21,7 @@ cannot overflow while the hot loop stays two matrix-vector products per
 sweep.  The plan's entropy follows from those potentials:
 log pi_ij = phi_i + S_ij + psi_j, so no logarithm of the plan is taken.
 
-Slow solves switch to over-relaxed sweeps, u <- u^(1-w) (a / K v)^w and
+Slow solves switch to over-relaxed sweeps, u <- u^(1-w) (a / G v)^w and
 likewise for v (Thibault, Chizat, Dossal and Papadakis, arXiv 1711.01851;
 Lehmann, von Renesse, Sambale and Uschmajew, arXiv 2012.12562).  Every
 solve starts with plain sweeps (w = 1).  Once the per-sweep shrink factor
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .density_ratio import ratio_cross
+from .density_ratio import ratio_cross, weighted_feature_sum
 
 __all__ = [
     "SinkhornParams",
@@ -110,9 +116,14 @@ class TransportPlan:
 
     ``row_potential``/``col_potential`` are the scaled dual potentials
     (f/epsilon, g/epsilon), always present; the next solve on a nearby
-    cost matrix starts from them.  ``entropy`` is sum_ij pi_ij
+    reward starts from them.  ``entropy`` is sum_ij pi_ij
     (log pi_ij - 1) as recorded by the solver that built ``pi``; None
     means unknown, and :func:`plan_entropy` then sums it from the entries.
+    ``feature_mass`` is sum_ij pi_ij K[:, i] * L[:, j] for the reward
+    factors K, L the plan was solved on (see
+    :func:`~semismi.density_ratio.weighted_feature_sum`), as every plan
+    :func:`sinkhorn_solve` returns carries it; ``fit`` builds its linear
+    term from it.  None means no solve computed it.
     """
 
     pi: np.ndarray
@@ -122,6 +133,7 @@ class TransportPlan:
     marginal_error: float = 0.0
     iterations: int = 0
     entropy: float | None = None
+    feature_mass: np.ndarray | None = None
 
     def __post_init__(self):
         self.pi = np.asarray(self.pi, dtype=float)
@@ -146,8 +158,9 @@ def cost_matrix(alpha, K_unpair, L_unpair) -> np.ndarray:
     """Reward matrix C[i, j] = r_alpha(x'_i, y'_j) on the unpaired pools.
 
     Identical formula to the cross-pair ratio values; materialized in
-    O(b * n_x * n_y) from the factored kernel columns.  Finiteness is
-    checked once, by :func:`sinkhorn_solve`.
+    O(b * n_x * n_y) from the factored kernel columns.  ``fit`` does not
+    form it: it passes the factors (K_unpair, alpha, L_unpair) to
+    :func:`sinkhorn_solve`, which also checks finiteness.
     """
     return ratio_cross(alpha, K_unpair, L_unpair)
 
@@ -196,12 +209,18 @@ def _positive_finite(sums: np.ndarray) -> bool:
 
 
 def sinkhorn_solve(
-    cost,
+    reward,
     beta: float,
     params: SinkhornParams,
     init: TransportPlan | None = None,
 ) -> TransportPlan:
     """Balance exp((1 - beta) C / epsilon) to uniform marginals.
+
+    ``reward`` is the factor triple (K, alpha, L) of C = (K * alpha)^T L,
+    with K of shape (b, n_x), alpha (b,) and L (b, n_y), as ``fit``
+    passes it; C itself is never formed.  A dense n_x x n_y matrix C is
+    accepted too and enters as the factors (I, 1, C), which give
+    scale * C to the bit, so both forms run the same code.
 
     Sweeps alternate exact row balancing with exact column balancing;
     the iteration stops once the marginal not currently enforced is
@@ -214,41 +233,61 @@ def sinkhorn_solve(
     violation in ``marginal_error`` and a warning rather than an error.
 
     The dual potentials start from ``init``, the ``TransportPlan`` of a
-    previous solve on a nearby cost matrix, or without one from the
-    uniform plan's (-log n_x, -log n_y), exactly as with
-    ``init=uniform_plan(n_x, n_y)``.  The kernel is formed straight from
-    them by the absorption formula; the log-domain pass runs only when
-    that kernel overflows or has an empty row or column.
+    previous solve on a nearby reward, or without one from the uniform
+    plan's (-log n_x, -log n_y), exactly as with
+    ``init=uniform_plan(n_x, n_y)``.  The kernel is formed in the plan's
+    buffer by one GEMM of the factors plus the potentials; absorptions
+    and the log-domain pass, which runs only when that kernel overflows
+    or has an empty row or column, form it the same way.
 
     The returned plan records its entropy, computed from the potentials
     and the plan's actual row and column sums (exact also when the
-    sweep cap was hit).
+    sweep cap was hit), and its ``feature_mass`` m, from which
+    <pi, C> = alpha^T m.
     """
-    C = np.asarray(cost, dtype=float)
-    if C.ndim != 2:
-        raise ValueError(f"cost must be a matrix, got shape {C.shape}")
-    if not np.isfinite(C).all():
-        raise ValueError("cost matrix has non-finite entries")
+    if isinstance(reward, tuple):
+        K, alpha, L = (np.asarray(f, dtype=float) for f in reward)
+        if K.ndim != 2 or L.ndim != 2 or alpha.shape != (K.shape[0],) or L.shape[0] != K.shape[0]:
+            raise ValueError(
+                f"reward factors must have shapes (b, n_x), (b,), (b, n_y); got "
+                f"{K.shape}, {alpha.shape}, {L.shape}"
+            )
+        n_x, n_y = K.shape[1], L.shape[1]
+    else:
+        L = np.asarray(reward, dtype=float)
+        if L.ndim != 2:
+            raise ValueError(f"cost must be a matrix, got shape {L.shape}")
+        n_x, n_y = L.shape
+        K, alpha = np.eye(n_x), np.ones(n_x)
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
 
-    n_x, n_y = C.shape
+    # S = scale * C is never stored on its own: it is formed by one GEMM
+    # of the factors in the buffer M, where every rebuild of the log
+    # kernel and finally the plan are formed too.  Non-finite factors,
+    # or a product that overflows, leave a non-finite entry in S.
+    scale = (1.0 - beta) / params.epsilon
+    M = np.empty((n_x, n_y))
+    M_T = M.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        K_scaled_T = (K * (scale * alpha)[:, None]).T
+        np.matmul(K_scaled_T, L, out=M)
+    if not np.isfinite(M).all():
+        raise ValueError("cost matrix has non-finite entries")
+
     if n_x == 1 or n_y == 1:
         # A single row (or column) is pinned by the marginals alone.
-        return uniform_plan(n_x, n_y)
+        plan = uniform_plan(n_x, n_y)
+        plan.feature_mass = weighted_feature_sum(K, L, plan.pi)
+        return plan
 
     a = 1.0 / n_x
     b = 1.0 / n_y
     tol = params.marginal_tol
-    # S = scale * C is never stored: the log kernel, every rebuild of
-    # the kernel and finally the plan are formed in the one buffer M.
-    scale = (1.0 - beta) / params.epsilon
-    M = np.empty_like(C)
-    M_T = M.T
 
     def log_kernel(p, q):
         """M = p_i + S_ij + q_j; a None potential is left out."""
-        np.multiply(C, scale, out=M)
+        np.matmul(K_scaled_T, L, out=M)
         if p is not None:
             np.add(M, p[:, None], out=M)
         if q is not None:
@@ -280,9 +319,10 @@ def sinkhorn_solve(
     u, v = uv[:n_x], uv[n_x:]
     # The absorbed kernel of the starting potentials is usable as it
     # stands unless they overflow it or leave a row or column empty.
-    # Its row sums are also the first sweep's M v.
+    # Its row sums are also the first sweep's M v.  M holds S.
     with np.errstate(over="ignore", invalid="ignore"):
-        log_kernel(phi, psi)
+        np.add(M, phi[:, None], out=M)
+        np.add(M, psi[None, :], out=M)
         np.exp(M, out=M)
         Kv = M.dot(v)
         usable = _positive_finite(Kv) and _positive_finite(M_T.dot(u))
@@ -369,10 +409,12 @@ def sinkhorn_solve(
     phi += np.log(u)
     psi += np.log(v)
     # log pi_ij = phi_i + S_ij + psi_j, weighted by the plan's actual
-    # row and column sums (products with ones: one streaming pass each)
+    # row and column sums (products with ones: one streaming pass each);
+    # <pi, S> = scale * alpha^T m
     rows = pi.dot(np.ones(n_y))
     cols = pi.T.dot(np.ones(n_x))
-    entropy = float(phi @ rows + psi @ cols + scale * np.vdot(pi, C) - rows.sum())
+    mass = weighted_feature_sum(K, L, pi)
+    entropy = float(phi @ rows + psi @ cols + scale * (alpha @ mass) - rows.sum())
     if not converged:
         err = max(_max(np.abs(rows - a)), _max(np.abs(cols - b)))
         if err <= tol:
@@ -384,4 +426,4 @@ def sinkhorn_solve(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    return TransportPlan(pi, phi, psi, converged, float(err), it, entropy)
+    return TransportPlan(pi, phi, psi, converged, float(err), it, entropy, mass)

@@ -1,5 +1,7 @@
 """Tests for the alternating estimator and the SMI plug-in values."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,38 @@ def test_small_epsilon_fits_on_500_pools_report_honestly(kind, epsilon):
     assert res.plan.marginal_error == pytest.approx(actual, rel=1e-6, abs=1e-17)
     if res.plan.converged:
         assert actual <= config.marginal_tol + 1e-17
+
+
+def test_fit_holds_at_most_two_plan_sized_arrays():
+    # the reward reaches the solve as its factors, so a fit holds the old
+    # plan and the solve's buffer, never a dense reward beside them (at
+    # the dense-reward design this peaked at 3.13 plan sizes)
+    data = generate(SyntheticSpec(kind="linear", n=20, n_x=1000, n_y=1000, seed=1))
+    config = EstimatorConfig(n_basis=50, seed=1)
+    tracemalloc.start()
+    try:
+        res = fit(data, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.iterations_run > 1
+    assert peak < 2.6 * 1000 * 1000 * 8
+
+
+def test_fit_linear_term_is_mixed_linear_term_of_its_plan(small_data):
+    # fit builds h from the plan's feature mass; it must be the same bits
+    # as mixed_linear_term on that plan, so alpha solves that h
+    config = EstimatorConfig(n_basis=6, beta=0.4, seed=2, max_outer_iters=3)
+    basis = sample_basis(small_data.pooled_x, small_data.pooled_y, 6, seed=2)
+    res = fit(small_data, config, basis=basis)
+    n = small_data.n
+    K, L = feature_columns(basis, small_data.pooled_x, small_data.pooled_y)
+    H = quadratic_term(K, L)
+    # the last alpha was solved against the plan before the final solve;
+    # the recorded objective after it uses the final plan's h
+    h = mixed_linear_term(K[:, :n], L[:, :n], K[:, n:], L[:, n:], res.plan.pi, config.beta)
+    expected = objective(H, h, res.model.alpha, res.plan, config.lam, config.epsilon)
+    assert res.objective_trace[-1] == expected
 
 
 def test_fit_deterministic(small_data):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from semismi import TransportPlan, transport
+from semismi.density_ratio import mixed_linear_term, weighted_feature_sum
 from semismi.transport import (
     SinkhornParams,
     cost_matrix,
@@ -224,6 +225,11 @@ def _fallback_plan():
     return sinkhorn_solve(cost, beta=0.3, params=SinkhornParams(), init=init)
 
 
+def _factors(seed, b=5, n_x=30, n_y=20, scale=3.0):
+    rng = np.random.default_rng(seed)
+    return rng.random((b, n_x)), scale * rng.standard_normal(b), rng.random((b, n_y))
+
+
 DUAL_ENTROPY_PLANS = {
     "converged": lambda: sinkhorn_solve(
         np.random.default_rng(1).standard_normal((25, 13)), beta=0.3, params=SinkhornParams()
@@ -237,6 +243,7 @@ DUAL_ENTROPY_PLANS = {
     ),
     "warm-start-fallback": _fallback_plan,
     "uniform": lambda: uniform_plan(4, 6),
+    "factored": lambda: sinkhorn_solve(_factors(13), beta=0.2, params=SinkhornParams()),
 }
 
 
@@ -307,6 +314,56 @@ def test_cost_matrix_rejects_non_finite():
     C = cost_matrix(np.array([np.inf]), np.ones((1, 2)), np.ones((1, 2)))
     with pytest.raises(ValueError, match="non-finite"):
         sinkhorn_solve(C, beta=0.5, params=SinkhornParams())
+
+
+def test_factored_and_dense_rewards_give_the_same_plan():
+    # (K, alpha, L) and the matrix cost_matrix builds from them are one
+    # reward: the plans agree to marginal_tol per entry in the same sweeps
+    K, alpha, L = _factors(14)
+    params = SinkhornParams()
+    factored = sinkhorn_solve((K, alpha, L), beta=0.2, params=params)
+    dense = sinkhorn_solve(cost_matrix(alpha, K, L), beta=0.2, params=params)
+    assert factored.converged and dense.converged
+    assert factored.iterations == dense.iterations
+    np.testing.assert_allclose(factored.pi, dense.pi, rtol=0.0, atol=params.marginal_tol)
+    assert factored.entropy == pytest.approx(dense.entropy, rel=1e-12)
+    # the dense form's factors are (I, 1, C): its mass is the row sums of pi * C
+    C = cost_matrix(alpha, K, L)
+    np.testing.assert_allclose(dense.feature_mass, (dense.pi * C).sum(axis=1), rtol=1e-12)
+
+
+def test_feature_mass_is_the_unpaired_linear_term_bit_for_bit():
+    K, alpha, L = _factors(15)
+    plan = sinkhorn_solve((K, alpha, L), beta=0.3, params=SinkhornParams())
+    np.testing.assert_array_equal(plan.feature_mass, weighted_feature_sum(K, L, plan.pi))
+    # beta = 0 with no pairs leaves only the unpaired part
+    no_pairs = np.zeros((K.shape[0], 0))
+    h = mixed_linear_term(no_pairs, no_pairs, K, L, plan.pi, 0.0)
+    np.testing.assert_array_equal(plan.feature_mass, h)
+    assert alpha @ plan.feature_mass == pytest.approx(np.vdot(plan.pi, cost_matrix(alpha, K, L)))
+
+
+@pytest.mark.parametrize("n_x, n_y", [(1, 7), (7, 1)])
+def test_single_row_or_column_plans_carry_the_mass(n_x, n_y):
+    K, alpha, L = _factors(16, n_x=n_x, n_y=n_y)
+    plan = sinkhorn_solve((K, alpha, L), beta=0.5, params=SinkhornParams())
+    np.testing.assert_allclose(plan.pi, 1.0 / 7.0, atol=1e-15)
+    np.testing.assert_array_equal(plan.feature_mass, weighted_feature_sum(K, L, plan.pi))
+
+
+def test_rejects_bad_factors():
+    K, alpha, L = _factors(17)
+    params = SinkhornParams()
+    with pytest.raises(ValueError, match="factors"):
+        sinkhorn_solve((K, alpha[:-1], L), beta=0.5, params=params)
+    with pytest.raises(ValueError, match="factors"):
+        sinkhorn_solve((K, alpha, L[:-1]), beta=0.5, params=params)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            sinkhorn_solve((K, np.where(np.arange(5) == 2, bad, alpha), L), beta=0.5, params=params)
+    # finite factors whose product overflows are a non-finite reward too
+    with pytest.raises(ValueError, match="non-finite"):
+        sinkhorn_solve((K, np.full(5, 1e308), L), beta=0.5, params=params)
 
 
 def test_log_domain_survives_extreme_costs():
