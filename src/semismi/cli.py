@@ -150,8 +150,6 @@ def _add_synthetic_args(parser):
     parser.add_argument("--n", type=int, default=20, help="paired sample count")
     parser.add_argument("--nx", type=int, default=100, help="unpaired x pool size")
     parser.add_argument("--ny", type=int, default=100, help="unpaired y pool size")
-    parser.add_argument("--dim", type=int, default=None)
-    parser.add_argument("--noise-sd", dest="noise_sd", type=float, default=None)
 
 
 def _add_file_args(parser):
@@ -177,8 +175,6 @@ def _synthetic_spec(args) -> SyntheticSpec:
         n=args.n,
         n_x=args.nx,
         n_y=args.ny,
-        dim=args.dim,
-        noise_sd=args.noise_sd,
         seed=args.seed,
     )
 
@@ -369,7 +365,7 @@ def _parse_grid(args, recorder: RunRecorder) -> np.ndarray:
     return load_table(args.grid_file)
 
 
-def cmd_summarize(args, recorder: RunRecorder) -> None:
+def cmd_summarize(args, recorder: RunRecorder) -> int:
     with recorder.phase("load_seconds"):
         positions = _parse_grid(args, recorder)
         recorder.note_input(args.items)
@@ -381,7 +377,7 @@ def cmd_summarize(args, recorder: RunRecorder) -> None:
         cv_data = grid_sample_set(items, grid)[0] if len(grid.anchors) >= 4 else None
         config, report = _tune(args, recorder, cv_data)
     with recorder.phase("fit_seconds"):
-        placements = grid_summarize(items, grid, config)
+        placements, result = grid_summarize(items, grid, config)
     with recorder.phase("write_seconds"):
         lines = ["position_index,item_index"]
         lines += [f"{p},{i}" for i, p in placements]
@@ -399,7 +395,10 @@ def cmd_summarize(args, recorder: RunRecorder) -> None:
             "lambda": config.lam,
             "beta": config.beta,
         }
+        if result is not None:
+            record.update(converged=result.converged, plan_feasible=result.plan.converged)
         _write_outputs(recorder, record, report)
+    return 0 if result is None else _plan_exit_code(result.plan)
 
 
 def cmd_generate(args, recorder: RunRecorder) -> None:

@@ -21,6 +21,7 @@ from .density_ratio import (
     mixed_linear_term,
     paired_linear_term,
     quadratic_term,
+    weighted_feature_sum,
 )
 from .kernels import BasisSet, as_points, feature_columns, sample_basis
 from .transport import (
@@ -219,10 +220,10 @@ def fit(data: SampleSet, config: EstimatorConfig, basis: BasisSet | None = None)
     converged = False
     iterations = 0
     t1 = time.perf_counter()
-    h = mixed_linear_term(K_pair, L_pair, K_unpair, L_unpair, plan.pi, config.beta)
     # h = paired part + (1 - beta) * the plan's feature mass, the same
     # bits as mixed_linear_term; each solve returns the mass of its plan.
     h_paired = paired_linear_term(K_pair, L_pair, config.beta)
+    h = h_paired + (1.0 - config.beta) * weighted_feature_sum(K_unpair, L_unpair, plan.pi)
     for t in range(1, config.max_outer_iters + 1):
         alpha = ridge.solve(h)
         if t == 1:

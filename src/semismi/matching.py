@@ -172,17 +172,19 @@ def grid_sample_set(features, grid: GridSpec) -> tuple[SampleSet, list, list]:
     return data, free_items, free_spots
 
 
-def grid_summarize(features, grid: GridSpec, config: EstimatorConfig) -> list:
+def grid_summarize(features, grid: GridSpec, config: EstimatorConfig) -> tuple:
     """Assign items to grid positions, keeping anchored items in place.
 
     The problem is :func:`grid_sample_set`'s.  After fitting, the plan
     over the free items/positions is rounded with the Hungarian method.
-    Returns (item_index, position_index) pairs sorted by position; when
-    there are more items than positions, the surplus items are simply
-    absent from the result.
+    Returns (placements, result): (item_index, position_index) pairs
+    sorted by position, without the surplus items when there are more
+    items than positions, and the fit's ``FitResult`` (None when no
+    item or no position is free).
     """
     data, free_items, free_spots = grid_sample_set(features, grid)
     placements = list(grid.anchors)
+    result = None
     if free_items and free_spots:
         beta = config.beta if grid.anchors else 0.0
         result = fit(data, replace(config, beta=beta))
@@ -190,4 +192,4 @@ def grid_summarize(features, grid: GridSpec, config: EstimatorConfig) -> list:
         placements.extend(
             (free_items[i], free_spots[j]) for i, j in assignment.pairs
         )
-    return sorted(placements, key=lambda ip: ip[1])
+    return sorted(placements, key=lambda ip: ip[1]), result

@@ -29,10 +29,11 @@ rho of the column violation has settled above RELAX_RATE_FLOOR, the
 solve relaxes with w = 2 / (1 + sqrt(1 - rho)), at most RELAX_OMEGA_CAP,
 and falls back to plain sweeps if the violation grows past
 RELAX_FALLBACK times its value at the switch.  Fast solves never switch,
-so they run exactly the plain operations.  A relaxed solve ends with a
-plain row half-step, so its plan meets the rows exactly, as a plain
-solve's does.  The plan is the sub-problem's unique optimum either way;
-only the number of sweeps changes.
+so they run exactly the plain operations.  A relaxed solve ends with one
+plain sweep, so its plan meets the rows exactly, as a plain solve's does
+(unless it meets the tolerance on the last allowed sweep: its marginals
+then decide ``converged``).  The plan is the sub-problem's unique
+optimum either way; only the number of sweeps changes.
 """
 
 from __future__ import annotations
@@ -218,19 +219,19 @@ def sinkhorn_solve(
 
     ``reward`` is the factor triple (K, alpha, L) of C = (K * alpha)^T L,
     with K of shape (b, n_x), alpha (b,) and L (b, n_y), as ``fit``
-    passes it; C itself is never formed.  A dense n_x x n_y matrix C is
-    accepted too and enters as the factors (I, 1, C), which give
-    scale * C to the bit, so both forms run the same code.
+    passes it; C itself is never formed.  The factors (I, 1, C) of a
+    dense n_x x n_y matrix C give scale * C to the bit.
 
     Sweeps alternate exact row balancing with exact column balancing;
     the iteration stops once the marginal not currently enforced is
     violated by at most ``params.marginal_tol`` (so the returned plan
     meets both constraints to that tolerance).  A slow solve
     over-relaxes both half-steps (see the module docstring) and ends
-    with one exact row half-step, whose matrix-vector product
-    ``iterations`` does not count.  Hitting the sweep cap first returns
-    the current plan with ``converged=False``, its actual marginal
-    violation in ``marginal_error`` and a warning rather than an error.
+    with one plain sweep, unless it meets the tolerance on the last
+    allowed sweep; its plan's own marginals then decide ``converged``.
+    Hitting the sweep cap first returns the current plan with
+    ``converged=False``, its actual marginal violation in
+    ``marginal_error`` and a warning rather than an error.
 
     The dual potentials start from ``init``, the ``TransportPlan`` of a
     previous solve on a nearby reward, or without one from the uniform
@@ -245,20 +246,13 @@ def sinkhorn_solve(
     sweep cap was hit), and its ``feature_mass`` m, from which
     <pi, C> = alpha^T m.
     """
-    if isinstance(reward, tuple):
-        K, alpha, L = (np.asarray(f, dtype=float) for f in reward)
-        if K.ndim != 2 or L.ndim != 2 or alpha.shape != (K.shape[0],) or L.shape[0] != K.shape[0]:
-            raise ValueError(
-                f"reward factors must have shapes (b, n_x), (b,), (b, n_y); got "
-                f"{K.shape}, {alpha.shape}, {L.shape}"
-            )
-        n_x, n_y = K.shape[1], L.shape[1]
-    else:
-        L = np.asarray(reward, dtype=float)
-        if L.ndim != 2:
-            raise ValueError(f"cost must be a matrix, got shape {L.shape}")
-        n_x, n_y = L.shape
-        K, alpha = np.eye(n_x), np.ones(n_x)
+    K, alpha, L = (np.asarray(f, dtype=float) for f in reward)
+    if K.ndim != 2 or L.ndim != 2 or alpha.shape != (K.shape[0],) or L.shape[0] != K.shape[0]:
+        raise ValueError(
+            f"reward factors must have shapes (b, n_x), (b,), (b, n_y); got "
+            f"{K.shape}, {alpha.shape}, {L.shape}"
+        )
+    n_x, n_y = K.shape[1], L.shape[1]
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
 
@@ -274,12 +268,6 @@ def sinkhorn_solve(
         np.matmul(K_scaled_T, L, out=M)
     if not np.isfinite(M).all():
         raise ValueError("cost matrix has non-finite entries")
-
-    if n_x == 1 or n_y == 1:
-        # A single row (or column) is pinned by the marginals alone.
-        plan = uniform_plan(n_x, n_y)
-        plan.feature_mass = weighted_feature_sum(K, L, plan.pi)
-        return plan
 
     a = 1.0 / n_x
     b = 1.0 / n_y
@@ -336,7 +324,7 @@ def sinkhorn_solve(
     converged = False
     err = np.inf
     # omega > 1 while relaxing; may_relax turns False once a relaxed run
-    # has met the column tolerance, so the solve ends with plain sweeps.
+    # has met the column tolerance, so the solve ends with a plain sweep.
     omega = 1.0
     may_relax = True
     last_err = last_ratio = err_at_switch = np.inf
@@ -356,14 +344,11 @@ def sinkhorn_solve(
         if err <= tol and omega != 1.0:
             # A relaxed u leaves the rows inexact and the total mass off
             # by up to n_x * tol, which moves the recorded objective by
-            # more than its monotonicity allows.  End as a plain sweep
-            # does: rows exact (M v is current), then the column test.
+            # more than its monotonicity allows.  End on a plain sweep:
+            # rows exact (M v is current), then the column test.
             omega = 1.0
             may_relax = False
-            np.divide(a, Kv, out=u)
-            col_weights = M_T.dot(u)
-            np.multiply(v, col_weights, out=dev)
-            err = max(_max(dev) - b, b - _min(dev))
+            continue
         if err <= tol:
             converged = True
             break

@@ -1,10 +1,17 @@
 """Shared fixtures and helpers for the test suite."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from semismi.estimator import SampleSet
 from semismi.kernels import sample_basis
+
+# the tools' constants, such as criterion 10's command line, are imported
+# by the tests that check against them
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 
 def make_dataset(seed=0, n=8, n_x=15, n_y=12, d_x=2, d_y=1, linked=False):
@@ -28,6 +35,11 @@ def assert_valid_plan(plan, n_x, n_y, tol=1e-6):
     np.testing.assert_allclose(pi.sum(), 1.0, atol=tol)
     np.testing.assert_allclose(pi.sum(axis=1), np.full(n_x, 1.0 / n_x), atol=tol)
     np.testing.assert_allclose(pi.sum(axis=0), np.full(n_y, 1.0 / n_y), atol=tol)
+
+
+def dense(C):
+    """A reward matrix as the factors (I, 1, C), which give scale * C to the bit."""
+    return np.eye(len(C)), np.ones(len(C)), C
 
 
 @pytest.fixture

@@ -31,7 +31,8 @@ from semismi.density_ratio import mixed_linear_term, quadratic_term, solve_alpha
 from semismi.kernels import feature_columns, sample_basis
 from semismi.transport import SinkhornParams, sinkhorn_solve
 
-from conftest import assert_valid_plan
+from conftest import assert_valid_plan, dense
+from criterion10_slopes import ARGV as CRITERION_10_ARGV, FLOOR as CRITERION_10_FLOOR
 
 PLAN_TOL = 1e-6
 
@@ -162,7 +163,7 @@ def test_criterion_03_subsolvers_match_oracles():
     for _ in range(8):
         C = rng.standard_normal((3, 3))
         beta = float(rng.uniform(0.0, 0.9))
-        got = sinkhorn_solve(C, beta, params).pi
+        got = sinkhorn_solve(dense(C), beta, params).pi
         ref = _transport_oracle(C, beta, 0.3)
         worst_plan = max(worst_plan, float(np.max(np.abs(got - ref))))
 
@@ -374,16 +375,16 @@ def test_criterion_10_iteration_cost_scales_quadratically(tmp_path):
     """Per-iteration time grows ~quadratically with matched pool sizes."""
     start = time.perf_counter()
     out = tmp_path / "bench"
-    code = main(["benchmark", "--out", str(out), "--sizes", "100,200,400,800",
-                 "--seed", "0"])
+    code = main([*CRITERION_10_ARGV, "--out", str(out)])
     assert code == 0
     record = dict(
         line.split(": ", 1) for line in (out / "result.txt").read_text().splitlines()
     )
     slope = float(record["slope"])
     elapsed = time.perf_counter() - start
-    ok = 1.6 <= slope <= 2.4 and elapsed < 180
+    ok = CRITERION_10_FLOOR <= slope <= 2.4 and elapsed < 180
     _report(10, "quadratic scaling", ok,
-            f"log-log slope {slope:.2f} in [1.6, 2.4] over sizes 100..800, {elapsed:.0f}s")
-    assert 1.6 <= slope <= 2.4
+            f"log-log slope {slope:.2f} in [{CRITERION_10_FLOOR}, 2.4] over sizes 100..800, "
+            f"{elapsed:.0f}s")
+    assert CRITERION_10_FLOOR <= slope <= 2.4
     assert elapsed < 180

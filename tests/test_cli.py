@@ -4,6 +4,7 @@ Everything goes through ``main(argv)`` so exit codes and file outputs
 are exercised exactly as a shell user would see them.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import semismi
-from semismi.cli import main
+from semismi.cli import _build_parser, main
 
 
 def _write_table(path, array):
@@ -47,6 +48,29 @@ def test_python_dash_m_runs_the_cli_without_install():
     )
     assert proc.returncode == 0, proc.stderr
     assert "benchmark" in proc.stdout
+
+
+IO = {"--out", "--seed"}
+CONFIG = {"--b", "--epsilon", "--lambda", "--beta", "--iters"}
+SYNTHETIC = {"--synthetic", "--n", "--nx", "--ny"}
+FILES = {"--x", "--y", "--paired"}
+SUBCOMMAND_FLAGS = {
+    "estimate": IO | CONFIG | SYNTHETIC | FILES | {"--save-plan"},
+    "match": IO | CONFIG | SYNTHETIC | FILES
+    | {"--truth", "--labels-x", "--labels-y", "--method", "--save-plan"},
+    "summarize": IO | CONFIG | {"--items", "--grid", "--grid-file", "--anchors"},
+    "generate": IO | SYNTHETIC,
+    "benchmark": IO | CONFIG | {"--sizes", "--n", "--repeats"},
+    "replay": {"--out"},
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_FLAGS)
+def test_subcommand_flags_are_pinned(command):
+    # a new flag is a new promise: adding or retiring one changes this table
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for action in sub.choices[command]._actions for flag in action.option_strings}
+    assert flags - {"-h", "--help"} == SUBCOMMAND_FLAGS[command]
 
 
 # ----------------------------------------------------------------- estimate
@@ -363,6 +387,25 @@ def test_summarize_grid_layout(tmp_path):
     assert record["unplaced"] == "0"
     assert (out / "unplaced.csv").read_text() == "item_index\n"
     assert _timing_keys(out) == PIPELINE_TIMINGS
+
+
+def test_summarize_infeasible_final_plan_exits_3_after_writing_outputs(tmp_path, capsys):
+    # at epsilon = 1e-4 every inner solve stops at its sweep cap, so the
+    # final plan misses its marginals; summarize says so as estimate does
+    rng = np.random.default_rng(0)
+    items = _write_table(tmp_path / "items.csv", rng.standard_normal((12, 3)))
+    anchors = _write_table(tmp_path / "anchors.csv", [[i, i] for i in range(5)])
+    out = tmp_path / "run"
+    argv = ["summarize", "--out", str(out), "--items", items, "--grid", "3x4",
+            "--anchors", anchors, "--b", "6", "--epsilon", "1e-4", "--lambda", "1e-3",
+            "--beta", "0.8"]
+    with pytest.warns(RuntimeWarning, match="sweep cap"):
+        assert main(argv) == 3
+    record = _read_record(out / "result.txt")
+    assert (record["converged"], record["plan_feasible"]) == ("false", "false")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {"placements.csv", "unplaced.csv", "result.txt"} <= set(manifest["outputs"])
+    assert capsys.readouterr().err.startswith("infeasible plan: marginal error ")
 
 
 def test_summarize_cv_rejects_bad_anchor_item(tmp_path, capsys):

@@ -175,7 +175,7 @@ def test_grid_summarize_places_every_item_once():
     rng = np.random.default_rng(3)
     items = rng.standard_normal((4, 3))
     grid = GridSpec(_square_grid(2), [])
-    placements = grid_summarize(items, grid, _layout_config())
+    placements, _ = grid_summarize(items, grid, _layout_config())
     assert sorted(i for i, _ in placements) == [0, 1, 2, 3]
     assert [p for _, p in placements] == [0, 1, 2, 3]  # sorted by position
 
@@ -184,7 +184,7 @@ def test_grid_summarize_keeps_anchors_in_place():
     rng = np.random.default_rng(4)
     items = rng.standard_normal((4, 3))
     grid = GridSpec(_square_grid(2), [(2, 0), (0, 3)])
-    placements = grid_summarize(items, grid, _layout_config())
+    placements, _ = grid_summarize(items, grid, _layout_config())
     assert (2, 0) in placements and (0, 3) in placements
     assert sorted(i for i, _ in placements) == [0, 1, 2, 3]
     assert [p for _, p in placements] == [0, 1, 2, 3]
@@ -194,7 +194,7 @@ def test_grid_summarize_surplus_items_are_dropped():
     rng = np.random.default_rng(5)
     items = rng.standard_normal((6, 2))
     grid = GridSpec(_square_grid(2), [(5, 1)])
-    placements = grid_summarize(items, grid, _layout_config())
+    placements, _ = grid_summarize(items, grid, _layout_config())
     assert len(placements) == 4
     assert (5, 1) in placements
     assert len({i for i, _ in placements}) == 4
@@ -210,8 +210,8 @@ def test_grid_summarize_deterministic():
     rng = np.random.default_rng(6)
     items = rng.standard_normal((5, 2))
     grid = GridSpec(_square_grid(3), [(0, 4)])
-    first = grid_summarize(items, grid, _layout_config(seed=1))
-    second = grid_summarize(items, grid, _layout_config(seed=1))
+    first, _ = grid_summarize(items, grid, _layout_config(seed=1))
+    second, _ = grid_summarize(items, grid, _layout_config(seed=1))
     assert first == second
 
 
@@ -223,7 +223,7 @@ def test_grid_summarize_groups_similar_items():
     b = rng.standard_normal((8, 2)) * 0.05 - np.array([3.0, 0.0])
     items = np.vstack([a, b])
     grid = GridSpec(_square_grid(4), [(0, 0), (8, 15)])
-    placements = grid_summarize(items, grid, EstimatorConfig(n_basis=16, seed=0))
+    placements, _ = grid_summarize(items, grid, EstimatorConfig(n_basis=16, seed=0))
     coords = _square_grid(4)
     spot = {i: coords[p] for i, p in placements}
     within_a = np.mean(

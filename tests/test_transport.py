@@ -16,7 +16,7 @@ from semismi.transport import (
     uniform_plan,
 )
 
-from conftest import assert_valid_plan
+from conftest import assert_valid_plan, dense
 
 
 def test_uniform_plan_basics():
@@ -39,7 +39,7 @@ def test_params_validation():
 
 
 def test_zero_cost_gives_uniform_plan():
-    plan = sinkhorn_solve(np.zeros((5, 7)), beta=0.5, params=SinkhornParams())
+    plan = sinkhorn_solve(dense(np.zeros((5, 7))), beta=0.5, params=SinkhornParams())
     np.testing.assert_allclose(plan.pi, 1.0 / 35.0, atol=1e-12)
     assert plan.converged
 
@@ -47,7 +47,7 @@ def test_zero_cost_gives_uniform_plan():
 def test_beta_one_gives_uniform_plan():
     rng = np.random.default_rng(0)
     cost = rng.standard_normal((6, 4))
-    plan = sinkhorn_solve(cost, beta=1.0, params=SinkhornParams())
+    plan = sinkhorn_solve(dense(cost), beta=1.0, params=SinkhornParams())
     np.testing.assert_allclose(plan.pi, 1.0 / 24.0, atol=1e-12)
 
 
@@ -55,7 +55,7 @@ def test_two_by_two_closed_form():
     # (1-beta) C / eps = I, whose balanced Gibbs plan is known exactly
     eps, beta = 0.3, 0.5
     cost = np.eye(2) * eps / (1.0 - beta)
-    plan = sinkhorn_solve(cost, beta=beta, params=SinkhornParams(epsilon=eps))
+    plan = sinkhorn_solve(dense(cost), beta=beta, params=SinkhornParams(epsilon=eps))
     e = np.e
     on_diag = e / (2.0 * (1.0 + e))
     off_diag = 1.0 / (2.0 * (1.0 + e))
@@ -70,7 +70,7 @@ def test_marginals_within_tolerance():
     params = SinkhornParams()
     for shape in [(10, 10), (25, 13), (3, 40)]:
         cost = rng.standard_normal(shape)
-        plan = sinkhorn_solve(cost, beta=0.3, params=params)
+        plan = sinkhorn_solve(dense(cost), beta=0.3, params=params)
         assert plan.converged
         assert_valid_plan(plan, *shape, tol=1e-6)
         assert plan.marginal_error <= params.marginal_tol
@@ -80,7 +80,7 @@ def test_higher_reward_attracts_mass():
     # one strongly preferred cell should end above the uniform level
     cost = np.zeros((3, 3))
     cost[1, 2] = 2.0
-    plan = sinkhorn_solve(cost, beta=0.2, params=SinkhornParams())
+    plan = sinkhorn_solve(dense(cost), beta=0.2, params=SinkhornParams())
     assert plan.pi[1, 2] > 1.0 / 9.0
     assert plan.pi[1, 2] == plan.pi.max()
 
@@ -90,7 +90,7 @@ def test_gibbs_fixed_point_structure():
     rng = np.random.default_rng(2)
     eps, beta = 0.4, 0.3
     cost = rng.standard_normal((8, 5))
-    plan = sinkhorn_solve(cost, beta=beta, params=SinkhornParams(epsilon=eps))
+    plan = sinkhorn_solve(dense(cost), beta=beta, params=SinkhornParams(epsilon=eps))
     S = (1.0 - beta) * cost / eps
     log_pi = np.log(plan.pi)
     residual = log_pi - S
@@ -103,16 +103,16 @@ def test_row_permutation_equivariance():
     rng = np.random.default_rng(3)
     cost = rng.standard_normal((9, 6))
     perm = rng.permutation(9)
-    base = sinkhorn_solve(cost, beta=0.4, params=SinkhornParams())
-    permuted = sinkhorn_solve(cost[perm], beta=0.4, params=SinkhornParams())
+    base = sinkhorn_solve(dense(cost), beta=0.4, params=SinkhornParams())
+    permuted = sinkhorn_solve(dense(cost[perm]), beta=0.4, params=SinkhornParams())
     np.testing.assert_allclose(permuted.pi, base.pi[perm], atol=1e-9)
 
 
 def test_determinism():
     rng = np.random.default_rng(4)
     cost = rng.standard_normal((12, 12))
-    p1 = sinkhorn_solve(cost, beta=0.6, params=SinkhornParams())
-    p2 = sinkhorn_solve(cost, beta=0.6, params=SinkhornParams())
+    p1 = sinkhorn_solve(dense(cost), beta=0.6, params=SinkhornParams())
+    p2 = sinkhorn_solve(dense(cost), beta=0.6, params=SinkhornParams())
     np.testing.assert_array_equal(p1.pi, p2.pi)
 
 
@@ -120,8 +120,8 @@ def test_warm_start_reaches_same_plan():
     rng = np.random.default_rng(5)
     cost = rng.standard_normal((10, 8))
     params = SinkhornParams()
-    cold = sinkhorn_solve(cost, beta=0.3, params=params)
-    warm = sinkhorn_solve(cost, beta=0.3, params=params, init=cold)
+    cold = sinkhorn_solve(dense(cost), beta=0.3, params=params)
+    warm = sinkhorn_solve(dense(cost), beta=0.3, params=params, init=cold)
     np.testing.assert_allclose(warm.pi, cold.pi, atol=1e-10)
     # warm start from the solution should converge almost immediately
     assert warm.iterations <= cold.iterations
@@ -134,8 +134,8 @@ def test_cold_solve_is_the_solve_from_the_uniform_plan(shift):
     # overflows that kernel and takes both through the log-domain pass
     cost = np.random.default_rng(12).standard_normal((9, 7)) + shift
     params = SinkhornParams()
-    cold = sinkhorn_solve(cost, beta=0.3, params=params)
-    warm = sinkhorn_solve(cost, beta=0.3, params=params, init=uniform_plan(9, 7))
+    cold = sinkhorn_solve(dense(cost), beta=0.3, params=params)
+    warm = sinkhorn_solve(dense(cost), beta=0.3, params=params, init=uniform_plan(9, 7))
     assert cold.converged and warm.converged
     np.testing.assert_array_equal(cold.pi, warm.pi)
     np.testing.assert_array_equal(cold.row_potential, warm.row_potential)
@@ -154,13 +154,13 @@ def test_unusable_warm_start_falls_back_to_log_domain(shift):
     rng = np.random.default_rng(5)
     cost = rng.standard_normal((10, 8))
     params = SinkhornParams()
-    cold = sinkhorn_solve(cost, beta=0.3, params=params)
+    cold = sinkhorn_solve(dense(cost), beta=0.3, params=params)
     init = replace(
         cold, row_potential=cold.row_potential + shift, col_potential=cold.col_potential + shift
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        warm = sinkhorn_solve(cost, beta=0.3, params=params, init=init)
+        warm = sinkhorn_solve(dense(cost), beta=0.3, params=params, init=init)
     assert warm.converged
     assert_valid_plan(warm, 10, 8, tol=1e-10)
     np.testing.assert_allclose(warm.pi, cold.pi, atol=1e-10)
@@ -168,7 +168,7 @@ def test_unusable_warm_start_falls_back_to_log_domain(shift):
 
 def test_single_row_plan_is_uniform():
     cost = np.array([[3.0, -1.0, 0.5]])
-    plan = sinkhorn_solve(cost, beta=0.2, params=SinkhornParams())
+    plan = sinkhorn_solve(dense(cost), beta=0.2, params=SinkhornParams())
     np.testing.assert_allclose(plan.pi, 1.0 / 3.0, atol=1e-12)
     assert_valid_plan(plan, 1, 3, tol=1e-12)
 
@@ -178,7 +178,7 @@ def test_iteration_cap_warns_and_flags():
     cost = 50.0 * rng.standard_normal((20, 20))
     params = SinkhornParams(max_inner_iters=2, marginal_tol=1e-14)
     with pytest.warns(RuntimeWarning):
-        plan = sinkhorn_solve(cost, beta=0.0, params=params)
+        plan = sinkhorn_solve(dense(cost), beta=0.0, params=params)
     assert not plan.converged
     assert plan.marginal_error > params.marginal_tol
 
@@ -186,11 +186,11 @@ def test_iteration_cap_warns_and_flags():
 def test_rejects_bad_inputs():
     params = SinkhornParams()
     with pytest.raises(ValueError):
-        sinkhorn_solve(np.array([[np.nan, 0.0]]), beta=0.5, params=params)
+        sinkhorn_solve(dense(np.array([[np.nan, 0.0]])), beta=0.5, params=params)
     with pytest.raises(ValueError):
-        sinkhorn_solve(np.zeros((2, 2)), beta=1.5, params=params)
+        sinkhorn_solve(dense(np.zeros((2, 2))), beta=1.5, params=params)
     with pytest.raises(ValueError):
-        sinkhorn_solve(np.zeros((2, 2)), beta=-0.1, params=params)
+        sinkhorn_solve(dense(np.zeros((2, 2))), beta=-0.1, params=params)
 
 
 def test_plan_entropy_uniform():
@@ -210,19 +210,27 @@ def _cap_hit_plan():
     rng = np.random.default_rng(6)
     params = SinkhornParams(max_inner_iters=2, marginal_tol=1e-14)
     with pytest.warns(RuntimeWarning, match="sweep cap"):
-        plan = sinkhorn_solve(50.0 * rng.standard_normal((20, 20)), beta=0.0, params=params)
+        plan = sinkhorn_solve(
+            dense(50.0 * rng.standard_normal((20, 20))), beta=0.0, params=params
+        )
     assert not plan.converged
     return plan
 
 
-def _fallback_plan():
-    rng = np.random.default_rng(5)
-    cost = rng.standard_normal((10, 8))
-    cold = sinkhorn_solve(cost, beta=0.3, params=SinkhornParams())
-    init = replace(
-        cold, row_potential=cold.row_potential + 800.0, col_potential=cold.col_potential + 800.0
+def _fallback_init(reward, beta, shift=800.0):
+    cold = sinkhorn_solve(reward, beta=beta, params=SinkhornParams())
+    return replace(
+        cold, row_potential=cold.row_potential + shift, col_potential=cold.col_potential + shift
     )
-    return sinkhorn_solve(cost, beta=0.3, params=SinkhornParams(), init=init)
+
+
+FALLBACK_COST = np.random.default_rng(5).standard_normal((10, 8))
+
+
+def _fallback_plan():
+    reward = dense(FALLBACK_COST)
+    init = _fallback_init(reward, 0.3)
+    return sinkhorn_solve(reward, beta=0.3, params=SinkhornParams(), init=init)
 
 
 def _factors(seed, b=5, n_x=30, n_y=20, scale=3.0):
@@ -232,14 +240,14 @@ def _factors(seed, b=5, n_x=30, n_y=20, scale=3.0):
 
 DUAL_ENTROPY_PLANS = {
     "converged": lambda: sinkhorn_solve(
-        np.random.default_rng(1).standard_normal((25, 13)), beta=0.3, params=SinkhornParams()
+        dense(np.random.default_rng(1).standard_normal((25, 13))), beta=0.3, params=SinkhornParams()
     ),
     "cap-hit": _cap_hit_plan,
     "beta-one": lambda: sinkhorn_solve(
-        np.random.default_rng(0).standard_normal((6, 4)), beta=1.0, params=SinkhornParams()
+        dense(np.random.default_rng(0).standard_normal((6, 4))), beta=1.0, params=SinkhornParams()
     ),
     "single-row": lambda: sinkhorn_solve(
-        np.array([[3.0, -1.0, 0.5]]), beta=0.2, params=SinkhornParams()
+        dense(np.array([[3.0, -1.0, 0.5]])), beta=0.2, params=SinkhornParams()
     ),
     "warm-start-fallback": _fallback_plan,
     "uniform": lambda: uniform_plan(4, 6),
@@ -265,7 +273,7 @@ def test_scalings_past_threshold_are_absorbed(shift):
     rng = np.random.default_rng(5)
     cost = rng.standard_normal((10, 8))
     params = SinkhornParams()
-    cold = sinkhorn_solve(cost, beta=0.3, params=params)
+    cold = sinkhorn_solve(dense(cost), beta=0.3, params=params)
     phi, psi = cold.row_potential + shift, cold.col_potential + shift
     kernel = np.exp(phi[:, None] + 0.7 * cost / params.epsilon + psi[None, :])
     assert np.all(np.isfinite(kernel))
@@ -274,7 +282,10 @@ def test_scalings_past_threshold_are_absorbed(shift):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         warm = sinkhorn_solve(
-            cost, beta=0.3, params=params, init=replace(cold, row_potential=phi, col_potential=psi)
+            dense(cost),
+            beta=0.3,
+            params=params,
+            init=replace(cold, row_potential=phi, col_potential=psi),
         )
     assert warm.converged
     assert_valid_plan(warm, 10, 8, tol=1e-10)
@@ -289,7 +300,7 @@ def test_drifting_scalings_are_absorbed_before_they_overflow():
     cost = 10.0 * rng.standard_normal((15, 15))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        plan = sinkhorn_solve(cost, beta=0.0, params=SinkhornParams(epsilon=0.01))
+        plan = sinkhorn_solve(dense(cost), beta=0.0, params=SinkhornParams(epsilon=0.01))
     assert [str(w.message).split(" (")[0] for w in caught] == ["sinkhorn_solve hit the sweep cap"]
     assert np.all(np.isfinite(plan.pi))
     row_err = np.max(np.abs(plan.pi.sum(axis=1) - 1.0 / 15.0))
@@ -313,7 +324,7 @@ def test_cost_matrix_rejects_non_finite():
     # the reward's finiteness is checked once, where the solve consumes it
     C = cost_matrix(np.array([np.inf]), np.ones((1, 2)), np.ones((1, 2)))
     with pytest.raises(ValueError, match="non-finite"):
-        sinkhorn_solve(C, beta=0.5, params=SinkhornParams())
+        sinkhorn_solve(dense(C), beta=0.5, params=SinkhornParams())
 
 
 def test_factored_and_dense_rewards_give_the_same_plan():
@@ -322,14 +333,14 @@ def test_factored_and_dense_rewards_give_the_same_plan():
     K, alpha, L = _factors(14)
     params = SinkhornParams()
     factored = sinkhorn_solve((K, alpha, L), beta=0.2, params=params)
-    dense = sinkhorn_solve(cost_matrix(alpha, K, L), beta=0.2, params=params)
-    assert factored.converged and dense.converged
-    assert factored.iterations == dense.iterations
-    np.testing.assert_allclose(factored.pi, dense.pi, rtol=0.0, atol=params.marginal_tol)
-    assert factored.entropy == pytest.approx(dense.entropy, rel=1e-12)
+    matrix = sinkhorn_solve(dense(cost_matrix(alpha, K, L)), beta=0.2, params=params)
+    assert factored.converged and matrix.converged
+    assert factored.iterations == matrix.iterations
+    np.testing.assert_allclose(factored.pi, matrix.pi, rtol=0.0, atol=params.marginal_tol)
+    assert factored.entropy == pytest.approx(matrix.entropy, rel=1e-12)
     # the dense form's factors are (I, 1, C): its mass is the row sums of pi * C
     C = cost_matrix(alpha, K, L)
-    np.testing.assert_allclose(dense.feature_mass, (dense.pi * C).sum(axis=1), rtol=1e-12)
+    np.testing.assert_allclose(matrix.feature_mass, (matrix.pi * C).sum(axis=1), rtol=1e-12)
 
 
 def test_feature_mass_is_the_unpaired_linear_term_bit_for_bit():
@@ -374,7 +385,7 @@ def test_log_domain_survives_extreme_costs():
     rng = np.random.default_rng(8)
     cost = 500.0 * rng.standard_normal((15, 15))
     with pytest.warns(RuntimeWarning, match="sweep cap"):
-        plan = sinkhorn_solve(cost, beta=0.0, params=SinkhornParams(epsilon=0.3))
+        plan = sinkhorn_solve(dense(cost), beta=0.0, params=SinkhornParams(epsilon=0.3))
     assert np.all(np.isfinite(plan.pi))
     assert np.all(plan.pi >= 0.0)
     assert not plan.converged
@@ -390,8 +401,8 @@ def test_large_constant_shift_absorbed():
     rng = np.random.default_rng(9)
     cost = rng.standard_normal((10, 7))
     params = SinkhornParams()
-    base = sinkhorn_solve(cost, beta=0.0, params=params)
-    shifted = sinkhorn_solve(cost + 2000.0, beta=0.0, params=params)
+    base = sinkhorn_solve(dense(cost), beta=0.0, params=params)
+    shifted = sinkhorn_solve(dense(cost + 2000.0), beta=0.0, params=params)
     assert shifted.converged
     assert_valid_plan(shifted, 10, 7, tol=1e-8)
     np.testing.assert_allclose(shifted.pi, base.pi, atol=1e-8)
@@ -426,7 +437,7 @@ FAST = dict(cost=np.random.default_rng(11).standard_normal((60, 50)), beta=0.5, 
 def _solve_both(case, **overrides):
     params = SinkhornParams(epsilon=case["epsilon"], **overrides)
     init = uniform_plan(*case["cost"].shape)
-    plan = sinkhorn_solve(case["cost"], beta=case["beta"], params=params, init=init)
+    plan = sinkhorn_solve(dense(case["cost"]), beta=case["beta"], params=params, init=init)
     return plan, _plain_sinkhorn(case["cost"], case["beta"], params, init), params
 
 
@@ -467,3 +478,59 @@ def test_sweep_cap_while_relaxing_reports_the_actual_violation():
     # and the sweeps did relax: 40 plain ones leave a far larger violation
     ref_err = np.max(np.abs(ref.sum(axis=1) - 1.0 / 60))
     assert plan.marginal_error < 0.1 * ref_err
+
+
+def test_relaxed_solve_capped_at_its_convergence_sweep_reports_its_own_marginals():
+    # The uncapped solve meets the column tolerance relaxed on its
+    # next-to-last sweep and ends on a plain one.  Capped at that sweep,
+    # the plain sweep does not run: the rows stay inexact, and the plan's
+    # own marginals decide the report (here within tolerance, no warning).
+    full, _, _ = _solve_both(SLOW)
+    assert np.max(np.abs(full.pi.sum(axis=1) - 1.0 / 60)) < 1e-15
+    cap = full.iterations - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        plan, _, params = _solve_both(SLOW, max_inner_iters=cap)
+    assert plan.iterations == cap
+    row_err = np.max(np.abs(plan.pi.sum(axis=1) - 1.0 / 60))
+    col_err = np.max(np.abs(plan.pi.sum(axis=0) - 1.0 / 50))
+    assert row_err > 1e-13
+    assert plan.marginal_error == pytest.approx(max(row_err, col_err), rel=1e-12)
+    assert plan.marginal_error <= params.marginal_tol
+    assert plan.converged
+
+
+# (reward, beta, params, init) of solves that end every way a solve can
+POTENTIAL_CASES = {
+    "1x12": lambda: (_factors(18, n_x=1, n_y=12), 0.5, SinkhornParams(), None),
+    "12x1": lambda: (_factors(18, n_x=12, n_y=1), 0.5, SinkhornParams(), None),
+    "converged": lambda: (_factors(13), 0.2, SinkhornParams(), None),
+    "relaxed": lambda: (
+        dense(SLOW["cost"]), SLOW["beta"], SinkhornParams(epsilon=SLOW["epsilon"]), None
+    ),
+    "capped": lambda: (
+        dense(50.0 * np.random.default_rng(6).standard_normal((20, 20))),
+        0.0,
+        SinkhornParams(max_inner_iters=2, marginal_tol=1e-14),
+        None,
+    ),
+    "warm-start-fallback": lambda: (
+        dense(FALLBACK_COST), 0.3, SinkhornParams(), _fallback_init(dense(FALLBACK_COST), 0.3)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", POTENTIAL_CASES.values(), ids=POTENTIAL_CASES.keys())
+def test_plans_are_their_potentials_and_reward(case):
+    # log pi = phi + S + psi holds for every plan, which the recorded
+    # entropy and the next warm start both rely on
+    reward, beta, params, init = case()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the capped solve's report
+        plan = sinkhorn_solve(reward, beta=beta, params=params, init=init)
+    K, alpha, L = reward
+    S = (1.0 - beta) / params.epsilon * cost_matrix(alpha, K, L)
+    gibbs = np.exp(plan.row_potential[:, None] + S + plan.col_potential[None, :])
+    # relative to 1e-12 wherever pi is a normal float (the capped plan has
+    # subnormal entries, which carry fewer significant bits)
+    np.testing.assert_allclose(gibbs, plan.pi, rtol=1e-12, atol=np.finfo(float).tiny)
