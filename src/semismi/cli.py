@@ -132,6 +132,12 @@ def _add_io_args(parser):
 
 _DEFAULTS = EstimatorConfig()
 
+#: benchmark's basis: small enough that no sweep size clamps it, so
+#: every run prices the same number of features.
+BENCH_BASIS = 100
+#: benchmark's paired count per run.
+BENCH_PAIRS = 10
+
 
 def _add_config_args(parser):
     parser.add_argument(
@@ -414,32 +420,33 @@ def cmd_generate(args, recorder: RunRecorder) -> None:
 
 
 def cmd_benchmark(args, recorder: RunRecorder) -> None:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    if len(sizes) < 2:
-        raise ValueError("--sizes needs at least two comma-separated sizes")
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError:
+        sizes = []
+    if len(set(sizes)) < 2 or min(sizes) < 1:
+        raise ValueError(f"--sizes needs two or more distinct integers >= 1, got {args.sizes!r}")
     if args.repeats < 1:
         raise ValueError("--repeats must be >= 1")
-    config = _resolve_config(args)
-    rows = []
+    config = EstimatorConfig(n_basis=BENCH_BASIS, seed=args.seed)
+    rows = [None] * len(sizes)
     with recorder.phase("sweep_seconds"):
-        for size in sizes:
-            spec = SyntheticSpec(kind="linear", n=args.n, n_x=size, n_y=size, seed=args.seed)
-            data = generate(spec)
-            # minimum across repeats strips scheduler noise, which otherwise
-            # drowns the smallest sizes in constant overhead
-            best = min(
-                (fit(data, config) for _ in range(args.repeats)),
-                key=lambda r: r.timings["per_iteration_seconds"],
-            )
-            rows.append(
-                (
-                    size,
-                    best.iterations_run,
-                    best.timings["setup_seconds"],
-                    best.timings["iteration_seconds"],
-                    best.timings["per_iteration_seconds"],
-                )
-            )
+        pools = [generate(SyntheticSpec("linear", BENCH_PAIRS, size, size, seed=args.seed)) for size in sizes]
+        # each round fits every size once, so all sizes get as many draws;
+        # the minimum strips scheduler noise, which otherwise drowns the
+        # smallest sizes in constant overhead
+        for _ in range(args.repeats):
+            for i, data in enumerate(pools):
+                result = fit(data, config)
+                t = result.timings
+                if rows[i] is None or t["per_iteration_seconds"] < rows[i][4]:
+                    rows[i] = (
+                        sizes[i],
+                        result.iterations_run,
+                        t["setup_seconds"],
+                        t["iteration_seconds"],
+                        t["per_iteration_seconds"],
+                    )
     slope = float(
         np.polyfit(
             np.log([r[0] for r in rows]), np.log([r[4] for r in rows]), 1
@@ -454,8 +461,8 @@ def cmd_benchmark(args, recorder: RunRecorder) -> None:
             "sizes": sizes,
             "repeats": args.repeats,
             "slope": slope,
-            "b": config.n_basis,
-            "n": args.n,
+            "b": BENCH_BASIS,
+            "n": BENCH_PAIRS,
         }
         recorder.write("result.txt", _format_record(record), deterministic=False)
 
@@ -549,13 +556,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("benchmark", help="time the fit loop across sizes")
     _add_io_args(p_bench)
-    _add_config_args(p_bench)
     p_bench.add_argument("--sizes", default="100,200,400,800", help="comma-separated pool sizes")
-    p_bench.add_argument("--n", type=int, default=10, help="paired count per run")
     p_bench.add_argument("--repeats", type=int, default=5, help="timing repeats per size (min is kept)")
-    # A basis small enough that no sweep size clamps it, so every run
-    # prices the same number of features.
-    p_bench.set_defaults(func=cmd_benchmark, b=100)
+    p_bench.set_defaults(func=cmd_benchmark)
 
     p_replay = sub.add_parser("replay", help="re-run a manifest and verify outputs")
     p_replay.add_argument("manifest", help="path to manifest.json")

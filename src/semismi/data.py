@@ -30,23 +30,25 @@ KINDS = ("random", "linear", "nonlinear", "pca")
 
 #: y = f(x) + noise of the two functional kinds.
 _MAPS = {"linear": lambda v: 0.5 * v, "nonlinear": np.sin}
+#: x dimension per kind (1 when absent): pca projects 2-D inputs.
+_DIMS = {"pca": 2}
+#: noise sd per kind (0 when absent, an exact map): variance 0.01 for linear.
+_NOISE_SD = {"linear": 0.1}
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Recipe for one synthetic dataset.
+    """Recipe for one synthetic dataset: ``n`` pairs plus pools of
+    ``n_x`` and ``n_y``, drawn from ``seed``.
 
-    ``dim`` and ``noise_sd`` default per kind: dimension 1 except for
-    the 2-D pca inputs; noise 0.1 for linear (variance 0.01) and 0 for
-    the other kinds, whose maps are exact.
+    x is 2-D for pca and 1-D otherwise; linear adds noise of sd 0.1 to
+    y, and the other kinds' maps are exact.
     """
 
     kind: str
     n: int
     n_x: int
     n_y: int
-    dim: int | None = None
-    noise_sd: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -54,22 +56,6 @@ class SyntheticSpec:
             raise ValueError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
         if self.n < 0 or self.n_x < 0 or self.n_y < 0:
             raise ValueError("sample counts must be non-negative")
-        if self.dim is not None and self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.noise_sd is not None and self.noise_sd < 0:
-            raise ValueError("noise_sd must be non-negative")
-
-    @property
-    def resolved_dim(self) -> int:
-        if self.dim is not None:
-            return self.dim
-        return 2 if self.kind == "pca" else 1
-
-    @property
-    def resolved_noise_sd(self) -> float:
-        if self.noise_sd is not None:
-            return self.noise_sd
-        return 0.1 if self.kind == "linear" else 0.0
 
 
 def _top_component(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -93,8 +79,8 @@ def generate(spec: SyntheticSpec) -> SampleSet:
     paired couples.  The y pool is a hidden sample of the y stream
     mapped like the paired x's (``random`` keeps it as it is).
     """
-    dim = spec.resolved_dim
-    sd = spec.resolved_noise_sd
+    dim = _DIMS.get(spec.kind, 1)
+    sd = _NOISE_SD.get(spec.kind, 0.0)
     rng_pair, rng_x, rng_y = (
         np.random.default_rng(s) for s in np.random.SeedSequence(spec.seed).spawn(3)
     )

@@ -60,7 +60,7 @@ SUBCOMMAND_FLAGS = {
     | {"--truth", "--labels-x", "--labels-y", "--method", "--save-plan"},
     "summarize": IO | CONFIG | {"--items", "--grid", "--grid-file", "--anchors"},
     "generate": IO | SYNTHETIC,
-    "benchmark": IO | CONFIG | {"--sizes", "--n", "--repeats"},
+    "benchmark": IO | {"--sizes", "--repeats"},
     "replay": {"--out"},
 }
 
@@ -482,9 +482,7 @@ def test_generate_requires_kind(tmp_path):
 def test_benchmark_writes_sweep_and_slope(tmp_path):
     out = tmp_path / "run"
     code = main(
-        ["benchmark", "--out", str(out), "--sizes", "30,60", "--n", "5",
-         "--b", "20", "--lambda", "0.01", "--beta", "0.5", "--iters", "3",
-         "--repeats", "2"]
+        ["benchmark", "--out", str(out), "--sizes", "30,60", "--repeats", "2"]
     )
     assert code == 0
     lines = (out / "benchmark.csv").read_text().splitlines()
@@ -496,8 +494,24 @@ def test_benchmark_writes_sweep_and_slope(tmp_path):
     assert _timing_keys(out) == {"sweep_seconds", "write_seconds"}
 
 
-def test_benchmark_needs_two_sizes(tmp_path):
-    assert main(["benchmark", "--out", str(tmp_path / "o"), "--sizes", "100"]) == 2
+def test_benchmark_fits_every_size_once_per_round(tmp_path, monkeypatch):
+    # rounds cycle through the sizes rather than run one size's repeats back to back
+    real_fit, sizes = semismi.cli.fit, []
+
+    def recording_fit(data, config):
+        sizes.append(data.n_x)
+        return real_fit(data, config)
+
+    monkeypatch.setattr("semismi.cli.fit", recording_fit)
+    argv = ["benchmark", "--out", str(tmp_path / "o"), "--sizes", "30,60", "--repeats", "2"]
+    assert main(argv) == 0
+    assert sizes == [30, 60, 30, 60]
+
+
+@pytest.mark.parametrize("sizes", ["100", "100,100", "abc,100", "0,100"])
+def test_benchmark_needs_two_sizes(tmp_path, capsys, sizes):
+    assert main(["benchmark", "--out", str(tmp_path / "o"), "--sizes", sizes]) == 2
+    assert "--sizes" in capsys.readouterr().err
 
 
 def test_benchmark_rejects_zero_repeats(tmp_path):

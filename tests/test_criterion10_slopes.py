@@ -7,7 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from criterion10_slopes import FLOOR
+from criterion10_slopes import ARGV, FLOOR
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "criterion10_slopes.py"
@@ -22,10 +22,14 @@ def test_one_run_prints_its_slope_and_summary():
     )
     assert printed.returncode == 0, printed.stdout + printed.stderr
     lines = printed.stdout.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 8
     assert Path(lines[0]) == ROOT
     (slope,) = re.fullmatch(r"  slopes: (\S+)", lines[1]).groups()
     # one run: the median and both quartiles are that slope
     assert lines[2] == f"  median {slope}, quartiles {slope} {slope}"
     assert lines[3] == f"  below {FLOOR}: {int(float(slope) < FLOOR)} of 1"
     assert 0.5 < float(slope) < 3.0
+    # then each size's per-iteration seconds, in ARGV's order
+    for line, size in zip(lines[4:], ARGV[ARGV.index("--sizes") + 1].split(",")):
+        (seconds,) = re.fullmatch(rf"  size {size}: median per-iteration (\S+) s", line).groups()
+        assert 0.0 < float(seconds) < 1.0

@@ -35,7 +35,7 @@ DOCUMENTED = {
     "topk_accuracy",
 }
 
-# Every settable option of a fit; a new one must be added here on purpose.
+# Every settable option of a fit or a synthetic dataset; a new one must be added here on purpose.
 OPTIONS = {
     semismi.EstimatorConfig: {
         "n_basis", "epsilon", "lam", "beta", "max_outer_iters", "seed",
@@ -43,6 +43,7 @@ OPTIONS = {
     },
     SinkhornParams: {"epsilon", "max_inner_iters", "marginal_tol"},
     semismi.CvGrid: {"lambdas", "betas", "seed"},
+    semismi.SyntheticSpec: {"kind", "n", "n_x", "n_y", "seed"},
 }
 
 SUBMODULES = ("data", "density_ratio", "estimator", "kernels", "matching", "model_selection", "transport")
