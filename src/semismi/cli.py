@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr
 from dataclasses import replace
 from pathlib import Path
 
@@ -185,9 +186,9 @@ def _synthetic_spec(args) -> SyntheticSpec:
     )
 
 
-def _load_index(path, flag: str, recorder: RunRecorder) -> np.ndarray:
+def _load_index(path, flag: str, recorder: RunRecorder, rows=None) -> np.ndarray:
     """Read a two-column file of whole-number indices as an (N, 2) int
-    array; no file gives no rows."""
+    array, columns below ``rows`` (x, y) when given; no file gives no rows."""
     if not path:
         return np.empty((0, 2), dtype=int)
     recorder.note_input(path)
@@ -196,6 +197,8 @@ def _load_index(path, flag: str, recorder: RunRecorder) -> np.ndarray:
         raise ValueError(f"{flag} file must have two columns")
     if not np.all(np.mod(table, 1.0) == 0.0):
         raise ValueError(f"{flag} file has an entry that is not a whole number")
+    if rows is not None and (table.min() < 0 or (table >= rows).any()):
+        raise ValueError(f"{flag} row index out of range ({rows[0]} x rows, {rows[1]} y rows)")
     return table.astype(int)
 
 
@@ -219,15 +222,13 @@ def _load_indexed(args, recorder: RunRecorder):
     recorder.note_input(args.y)
     x = load_table(args.x)
     y = load_table(args.y)
-    idx = _load_index(args.paired, "--paired", recorder)
+    idx = _load_index(args.paired, "--paired", recorder, (x.shape[0], y.shape[0]))
     px, py = idx[:, 0], idx[:, 1]
     pools = []
     for name, ids, limit in (("x", px, x.shape[0]), ("y", py, y.shape[0])):
         taken = set(ids.tolist())
         if len(taken) != len(ids):
             raise ValueError(f"--paired repeats a {name} row")
-        if ids.min(initial=0) < 0 or ids.max(initial=-1) >= limit:
-            raise ValueError(f"--paired {name} row index out of range")
         pools.append([row for row in range(limit) if row not in taken])
     x_rows, y_rows = pools
     data = SampleSet(x[px], y[py], x[x_rows], y[y_rows])
@@ -313,10 +314,13 @@ def cmd_estimate(args, recorder: RunRecorder) -> int:
 def cmd_match(args, recorder: RunRecorder) -> int:
     with recorder.phase("load_seconds"):
         data, x_rows, y_rows = _resolve_data(args, recorder)
+        # Truth and label files index whole tables, only the pools when generated.
+        paired = 0 if args.synthetic else data.n
+        rows_x, rows_y = paired + data.n_x, paired + data.n_y
         # Truth pairs that fall in the pools, as (pool position, pool position).
         local = []
         if args.truth:
-            truth = _load_index(args.truth, "--truth", recorder)
+            truth = _load_index(args.truth, "--truth", recorder, (rows_x, rows_y))
             x_pos = {row: i for i, row in enumerate(x_rows)}
             y_pos = {row: j for j, row in enumerate(y_rows)}
             local = [(x_pos[i], y_pos[j]) for i, j in truth.tolist() if i in x_pos and j in y_pos]
@@ -324,13 +328,10 @@ def cmd_match(args, recorder: RunRecorder) -> int:
             raise ValueError("--labels-x and --labels-y must be given together")
         lx = ly = None
         if args.labels_x:
-            # a label file covers its whole table: the paired rows too when
-            # the table was read from a file, only the pool when generated
-            paired = 0 if args.synthetic else data.n
-            lx = _load_labels(args.labels_x, "--labels-x", paired + data.n_x, recorder)
-            ly = _load_labels(args.labels_y, "--labels-y", paired + data.n_y, recorder)
+            lx = _load_labels(args.labels_x, "--labels-x", rows_x, recorder)
+            ly = _load_labels(args.labels_y, "--labels-y", rows_y, recorder)
     config, report, result, smi = _tune_fit(args, recorder, data)
-    assignment = plan_to_assignment(result.plan, method=args.method)
+    assignment = plan_to_assignment(result.plan)
     record = {
         "command": "match",
         "lambda": config.lam,
@@ -356,24 +357,21 @@ def cmd_match(args, recorder: RunRecorder) -> int:
     return _plan_exit_code(result.plan)
 
 
-def _parse_grid(args, recorder: RunRecorder) -> np.ndarray:
-    if bool(args.grid) == bool(args.grid_file):
-        raise ValueError("summarize needs exactly one of --grid RxC or --grid-file")
-    if args.grid:
-        try:
-            rows, cols = (int(part) for part in args.grid.lower().split("x"))
-        except ValueError:
-            raise ValueError(f"--grid must look like 16x20, got {args.grid!r}") from None
-        if rows < 1 or cols < 1:
-            raise ValueError("--grid dimensions must be >= 1")
-        return np.array([(r, c) for r in range(rows) for c in range(cols)], dtype=float)
-    recorder.note_input(args.grid_file)
-    return load_table(args.grid_file)
+def _parse_grid(grid) -> np.ndarray:
+    if not grid:
+        raise ValueError("summarize needs --grid RxC")
+    try:
+        rows, cols = (int(part) for part in grid.lower().split("x"))
+    except ValueError:
+        raise ValueError(f"--grid must look like 16x20, got {grid!r}") from None
+    if rows < 1 or cols < 1:
+        raise ValueError("--grid dimensions must be >= 1")
+    return np.array([(r, c) for r in range(rows) for c in range(cols)], dtype=float)
 
 
 def cmd_summarize(args, recorder: RunRecorder) -> int:
     with recorder.phase("load_seconds"):
-        positions = _parse_grid(args, recorder)
+        positions = _parse_grid(args.grid)
         recorder.note_input(args.items)
         items = load_table(args.items)
         anchors = _load_index(args.anchors, "--anchors", recorder)
@@ -485,9 +483,14 @@ def cmd_replay(args) -> int:
     for name, rec in outputs.items():
         if not isinstance(rec, dict) or "sha256" not in rec:
             raise ValueError(f"{manifest_path}: manifest output {name!r} has no 'sha256'")
-    if "--out" not in argv[:-1]:
-        raise ValueError("manifest argv has no --out to redirect")
-    argv[argv.index("--out") + 1] = args.out
+    # argparse keeps a flag's last value, so an appended --out redirects the run
+    argv = [*argv, "--out", args.out]
+    with redirect_stderr(io.StringIO()) as usage:
+        try:
+            _build_parser().parse_args(argv)
+        except SystemExit:
+            cause = " ".join(usage.getvalue().splitlines()[-1:])
+            raise ValueError(f"{manifest_path}: manifest argv does not parse: {cause}") from None
     code = main(argv)
     if code != 0:
         print(f"replay: re-run failed with exit code {code}", file=sys.stderr)
@@ -536,7 +539,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_match.add_argument("--truth", help="two-column file of true (x row, y row) pairs")
     p_match.add_argument("--labels-x", dest="labels_x", help="one label per x row")
     p_match.add_argument("--labels-y", dest="labels_y", help="one label per y row")
-    p_match.add_argument("--method", choices=("greedy", "optimal"), default="optimal")
     p_match.add_argument("--save-plan", action="store_true", help="write plan.csv")
     p_match.set_defaults(func=cmd_match)
 
@@ -545,7 +547,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_args(p_sum)
     p_sum.add_argument("--items", required=True, help="item feature table")
     p_sum.add_argument("--grid", help="grid shape, e.g. 16x20")
-    p_sum.add_argument("--grid-file", dest="grid_file", help="explicit coordinate table")
     p_sum.add_argument("--anchors", help="two-column file of fixed (item, position) pairs")
     p_sum.set_defaults(func=cmd_summarize)
 

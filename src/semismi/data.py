@@ -127,9 +127,13 @@ def load_table(path) -> np.ndarray:
             has_header = True
             break
     try:
-        table = np.loadtxt(path, delimiter=delimiter, skiprows=1 if has_header else 0, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
+            table = np.loadtxt(path, delimiter=delimiter, skiprows=1 if has_header else 0, ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: not a rectangular numeric table ({exc})") from exc
+    if table.shape[0] == 0:  # numpy only warns; fail here, naming the file
+        raise ValueError(f"{path}: no data rows")
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: non-finite entry (NaN or inf) in data row {bad[0] + 1}")

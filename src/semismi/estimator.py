@@ -166,8 +166,7 @@ def objective(H, h, alpha, plan, lam: float, epsilon: float) -> float:
 
     J = 1/2 a^T H a - a^T h + epsilon * entropy(plan) + lam/2 ||a||^2.
 
-    A plan from :func:`sinkhorn_solve` or :func:`uniform_plan` carries
-    its entropy, so this is O(b^2); other plans are summed entry by entry.
+    Every ``TransportPlan`` records its entropy, so this is O(b^2).
     """
     alpha = np.asarray(alpha, dtype=float).ravel()
     h = np.asarray(h, dtype=float).ravel()

@@ -16,7 +16,6 @@ from scipy.spatial.distance import cdist, pdist
 __all__ = [
     "BasisSet",
     "median_heuristic",
-    "gaussian_kernel",
     "gaussian_gram",
     "sample_basis",
     "feature_columns",
@@ -67,17 +66,6 @@ def median_heuristic(samples, seed: int = 0) -> float:
     if med <= 0.0:
         raise ValueError("degenerate bandwidth: median pairwise distance is zero")
     return med / float(np.sqrt(2.0))
-
-
-def gaussian_kernel(x, x2, sigma: float) -> float:
-    """exp(-||x - x2||^2 / (2 sigma^2)) for a single pair of points."""
-    xa = np.asarray(x, dtype=float).ravel()
-    xb = np.asarray(x2, dtype=float).ravel()
-    if xa.shape != xb.shape:
-        raise ValueError(f"dimension mismatch: {xa.shape} vs {xb.shape}")
-    sigma = _check_sigma(sigma)
-    diff = xa - xb
-    return float(np.exp(-float(diff @ diff) / (2.0 * sigma * sigma)))
 
 
 def gaussian_gram(centers, points, sigma: float) -> np.ndarray:

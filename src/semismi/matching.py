@@ -50,36 +50,14 @@ class Assignment:
             raise ValueError("assignment repeats an index")
 
 
-def plan_to_assignment(plan, method: str = "optimal") -> Assignment:
+def plan_to_assignment(plan) -> Assignment:
     """Round a plan to min(n_x, n_y) one-to-one pairs.
 
-    ``greedy`` repeatedly takes the largest remaining entry (smallest
-    (row, column) on ties) and strikes out its row and column —
-    quadratic and simple.  ``optimal`` solves the maximum-weight
-    bipartite matching with the Hungarian method, which can only
-    capture at least as much mass.
+    Solves the maximum-weight bipartite matching with the Hungarian
+    method, so the pairs capture the most plan mass any assignment can.
     """
-    pi = _plan_matrix(plan)
-    n_x, n_y = pi.shape
-    m = min(n_x, n_y)
-    if method == "optimal":
-        rows, cols = linear_sum_assignment(pi, maximize=True)
-        pairs = list(zip(rows.tolist(), cols.tolist()))
-    elif method == "greedy":
-        work = pi.copy()
-        pairs = []
-        for _ in range(m):
-            # argmax scans in row-major order, so the first maximum is
-            # exactly the lexicographically smallest tied (i, j).
-            flat = int(np.argmax(work))
-            i, j = divmod(flat, n_y)
-            pairs.append((i, j))
-            work[i, :] = -np.inf
-            work[:, j] = -np.inf
-        pairs.sort()
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'greedy' or 'optimal'")
-    return Assignment(pairs)
+    rows, cols = linear_sum_assignment(_plan_matrix(plan), maximize=True)
+    return Assignment(list(zip(rows.tolist(), cols.tolist())))
 
 
 def topk_accuracy(plan, truth, k: int = 1) -> float:
@@ -188,7 +166,7 @@ def grid_summarize(features, grid: GridSpec, config: EstimatorConfig) -> tuple:
     if free_items and free_spots:
         beta = config.beta if grid.anchors else 0.0
         result = fit(data, replace(config, beta=beta))
-        assignment = plan_to_assignment(result.plan, method="optimal")
+        assignment = plan_to_assignment(result.plan)
         placements.extend(
             (free_items[i], free_spots[j]) for i, j in assignment.pairs
         )

@@ -43,7 +43,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .density_ratio import ratio_cross, weighted_feature_sum
 
@@ -118,8 +117,7 @@ class TransportPlan:
     ``row_potential``/``col_potential`` are the scaled dual potentials
     (f/epsilon, g/epsilon), always present; the next solve on a nearby
     reward starts from them.  ``entropy`` is sum_ij pi_ij
-    (log pi_ij - 1) as recorded by the solver that built ``pi``; None
-    means unknown, and :func:`plan_entropy` then sums it from the entries.
+    (log pi_ij - 1) as recorded by the constructor that built ``pi``.
     ``feature_mass`` is sum_ij pi_ij K[:, i] * L[:, j] for the reward
     factors K, L the plan was solved on (see
     :func:`~semismi.density_ratio.weighted_feature_sum`), as every plan
@@ -130,10 +128,10 @@ class TransportPlan:
     pi: np.ndarray
     row_potential: np.ndarray
     col_potential: np.ndarray
+    entropy: float
     converged: bool = True
     marginal_error: float = 0.0
     iterations: int = 0
-    entropy: float | None = None
     feature_mass: np.ndarray | None = None
 
     def __post_init__(self):
@@ -166,18 +164,9 @@ def cost_matrix(alpha, K_unpair, L_unpair) -> np.ndarray:
     return ratio_cross(alpha, K_unpair, L_unpair)
 
 
-def plan_entropy(plan) -> float:
-    """sum_ij pi_ij (log pi_ij - 1), with 0 log 0 taken as 0.
-
-    A ``TransportPlan`` that carries its recorded entropy returns it;
-    a bare matrix, or a plan built without one, is summed entry by entry.
-    """
-    if isinstance(plan, TransportPlan):
-        if plan.entropy is not None:
-            return plan.entropy
-        plan = plan.pi
-    pi = np.asarray(plan, dtype=float)
-    return float(np.sum(xlogy(pi, pi)) - np.sum(pi))
+def plan_entropy(plan: TransportPlan) -> float:
+    """sum_ij pi_ij (log pi_ij - 1), as the plan recorded it."""
+    return plan.entropy
 
 
 def _logsumexp(X: np.ndarray, axis: int) -> np.ndarray:
@@ -234,9 +223,8 @@ def sinkhorn_solve(
     ``marginal_error`` and a warning rather than an error.
 
     The dual potentials start from ``init``, the ``TransportPlan`` of a
-    previous solve on a nearby reward, or without one from the uniform
-    plan's (-log n_x, -log n_y), exactly as with
-    ``init=uniform_plan(n_x, n_y)``.  The kernel is formed in the plan's
+    previous solve on a nearby reward, or without one from
+    ``uniform_plan(n_x, n_y)``'s.  The kernel is formed in the plan's
     buffer by one GEMM of the factors plus the potentials; absorptions
     and the log-domain pass, which runs only when that kernel overflows
     or has an empty row or column, form it the same way.
@@ -282,13 +270,11 @@ def sinkhorn_solve(
             np.add(M, q[None, :], out=M)
 
     if init is None:
-        phi = np.full(n_x, -np.log(n_x))
-        psi = np.full(n_y, -np.log(n_y))
-    else:
-        phi = np.array(init.row_potential, dtype=float)
-        psi = np.array(init.col_potential, dtype=float)
-        if phi.shape != (n_x,) or psi.shape != (n_y,):
-            raise ValueError("warm-start potentials do not match the cost shape")
+        init = uniform_plan(n_x, n_y)
+    phi = np.array(init.row_potential, dtype=float)
+    psi = np.array(init.col_potential, dtype=float)
+    if phi.shape != (n_x,) or psi.shape != (n_y,):
+        raise ValueError("warm-start potentials do not match the cost shape")
 
     def rebuild():
         # One log-space sweep followed by kernel materialization; safe
@@ -411,4 +397,4 @@ def sinkhorn_solve(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    return TransportPlan(pi, phi, psi, converged, float(err), it, entropy, mass)
+    return TransportPlan(pi, phi, psi, entropy, converged, float(err), it, mass)

@@ -57,8 +57,8 @@ FILES = {"--x", "--y", "--paired"}
 SUBCOMMAND_FLAGS = {
     "estimate": IO | CONFIG | SYNTHETIC | FILES | {"--save-plan"},
     "match": IO | CONFIG | SYNTHETIC | FILES
-    | {"--truth", "--labels-x", "--labels-y", "--method", "--save-plan"},
-    "summarize": IO | CONFIG | {"--items", "--grid", "--grid-file", "--anchors"},
+    | {"--truth", "--labels-x", "--labels-y", "--save-plan"},
+    "summarize": IO | CONFIG | {"--items", "--grid", "--anchors"},
     "generate": IO | SYNTHETIC,
     "benchmark": IO | {"--sizes", "--repeats"},
     "replay": {"--out"},
@@ -259,7 +259,7 @@ def test_match_writes_assignment(tmp_path):
         [
             "match", "--out", str(out), "--synthetic", "linear",
             "--n", "6", "--nx", "12", "--ny", "12", "--b", "10",
-            "--lambda", "0.01", "--beta", "0.5", "--method", "greedy",
+            "--lambda", "0.01", "--beta", "0.5",
         ]
     )
     assert code == 0
@@ -362,6 +362,44 @@ def test_match_checks_truth_file_before_fitting(tmp_path, capsys):
     assert "--truth file must have two columns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "source, pair",
+    [("files", [100, 100]), ("files", [3, 16]), ("files", [-1, 3]), ("synthetic", [12, 0])],
+    ids=["both-past-the-end", "y-past-the-end", "negative", "synthetic-past-the-pool"],
+)
+def test_match_rejects_truth_rows_outside_the_tables(tmp_path, capsys, source, pair):
+    # files: 16-row tables, of which rows 0-3 are paired; synthetic: pools of 12
+    if source == "files":
+        x_path = _write_table(tmp_path / "x.csv", np.arange(16.0))
+        y_path = _write_table(tmp_path / "y.csv", np.arange(16.0))
+        pairs = _write_table(tmp_path / "pairs.csv", [[i, i] for i in range(4)])
+        data_args = ["--x", x_path, "--y", y_path, "--paired", pairs]
+    else:
+        data_args = ["--synthetic", "linear", "--n", "4", "--nx", "12", "--ny", "12"]
+    truth = _write_table(tmp_path / "truth.csv", [[5, 5], pair])
+    code = main(
+        ["match", "--out", str(tmp_path / "o"), *data_args, "--truth", truth,
+         "--b", "4", "--lambda", "0.01", "--beta", "0.5"]
+    )
+    assert code == 2
+    assert "--truth row index out of range" in capsys.readouterr().err
+
+
+def test_match_skips_truth_pairs_on_paired_rows(tmp_path):
+    # rows 0-3 are paired: their truth pairs are skipped, the rest scored
+    x_path = _write_table(tmp_path / "x.csv", np.arange(16.0))
+    y_path = _write_table(tmp_path / "y.csv", np.arange(16.0))
+    pairs = _write_table(tmp_path / "pairs.csv", [[i, i] for i in range(4)])
+    truth = _write_table(tmp_path / "truth.csv", [[0, 0], [15, 15]])
+    out = tmp_path / "o"
+    code = main(
+        ["match", "--out", str(out), "--x", x_path, "--y", y_path, "--paired", pairs,
+         "--truth", truth, "--b", "4", "--lambda", "0.01", "--beta", "0.5"]
+    )
+    assert code == 0
+    assert "top1_accuracy" in _read_record(out / "result.txt")
+
+
 # ---------------------------------------------------------------- summarize
 
 
@@ -439,13 +477,10 @@ def test_summarize_grid_argument_errors(tmp_path, capsys):
     items = _write_table(tmp_path / "items.csv", np.zeros((3, 2)))
     base = ["summarize", "--out", str(tmp_path / "o"), "--items", items,
             "--lambda", "0.01", "--beta", "0.5"]
-    assert main(base) == 2                       # neither --grid nor --grid-file
+    assert main(base) == 2                       # no --grid
+    assert "summarize needs --grid RxC" in capsys.readouterr().err
     assert main(base + ["--grid", "4"]) == 2     # malformed shape
     assert main(base + ["--grid", "0x3"]) == 2   # empty side
-    capsys.readouterr()
-    # both flags: the conflict is reported before the grid file is read
-    assert main(base + ["--grid", "3x4", "--grid-file", str(tmp_path / "missing.csv")]) == 2
-    assert "summarize needs exactly one of --grid RxC or --grid-file" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- generate
@@ -576,6 +611,23 @@ def test_replay_reproduces_outputs(tmp_path, capsys, make_argv, expected):
     for name in expected:
         assert f"{name}: ok" in out
     assert (second / "result.txt").read_text() == (first / "result.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "spelling",
+    [lambda d: ["--out=" + d], lambda d: ["--ou", d]],
+    ids=["out-equals", "abbreviated"],
+)
+def test_replay_redirects_any_spelling_of_out(tmp_path, capsys, spelling):
+    first = tmp_path / "first"
+    argv = _estimate_argv(first)
+    at = argv.index("--out")
+    argv[at:at + 2] = spelling(str(first))
+    assert main(argv) == 0
+    second = tmp_path / "second"
+    assert main(["replay", str(first / "manifest.json"), "--out", str(second)]) == 0
+    assert "result.txt: ok" in capsys.readouterr().out
+    assert (second / "plan.csv").read_bytes() == (first / "plan.csv").read_bytes()
 
 
 def test_replay_detects_tampering(tmp_path, capsys):

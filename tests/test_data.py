@@ -1,5 +1,7 @@
 """Tests for synthetic generators and tabular ingestion."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,12 @@ def test_load_table_rejects_bad_input(tmp_path):
     ragged.write_text("1,2\n3,4,5\n")
     with pytest.raises(ValueError, match="rectangular"):
         load_table(ragged)
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("a,b\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's own "no data" warning would be a miss
+        with pytest.raises(ValueError, match=r"header_only\.csv: no data rows"):
+            load_table(header_only)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

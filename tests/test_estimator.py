@@ -11,7 +11,7 @@ from semismi.estimator import objective, smi_estimate_paired
 from semismi.kernels import BasisSet, feature_columns, sample_basis
 from semismi.transport import uniform_plan
 
-from conftest import assert_valid_plan, make_dataset
+from conftest import assert_valid_plan, entrywise_entropy, make_dataset
 
 
 def constant_ratio_setup(value, n=3, n_x=4, n_y=5):
@@ -142,7 +142,9 @@ def test_objective_matches_term_oracle(small_data, small_basis):
     plan_mat /= plan_mat.sum()
     from semismi import TransportPlan
 
-    plan = TransportPlan(plan_mat, np.zeros(small_data.n_x), np.zeros(small_data.n_y))
+    plan = TransportPlan(
+        plan_mat, np.zeros(small_data.n_x), np.zeros(small_data.n_y), entrywise_entropy(plan_mat)
+    )
     beta, lam, eps = 0.4, 0.01, 0.3
     h = mixed_linear_term(
         K_all[:, :n], L_all[:, :n], K_all[:, n:], L_all[:, n:], plan_mat, beta
@@ -442,7 +444,7 @@ def test_smi_paired_matches_double_loop(small_data, small_basis):
     plan_mat = rng.random((small_data.n_x, small_data.n_y))
     plan_mat /= plan_mat.sum()
     plan = TransportPlan(
-        plan_mat, np.zeros(small_data.n_x), np.zeros(small_data.n_y)
+        plan_mat, np.zeros(small_data.n_x), np.zeros(small_data.n_y), entrywise_entropy(plan_mat)
     )
     beta = 0.6
     r_pairs = model.pairs(small_data.paired_x, small_data.paired_y)

@@ -7,7 +7,6 @@ from semismi.kernels import (
     BasisSet,
     feature_columns,
     gaussian_gram,
-    gaussian_kernel,
     median_heuristic,
     sample_basis,
 )
@@ -80,21 +79,27 @@ def test_median_heuristic_subsamples_large_pools():
     assert sub == pytest.approx(full, rel=0.1)
 
 
+def _scalar_kernel(x, x2, sigma):
+    """exp(-||x - x2||^2 / (2 sigma^2)) for one pair of points: the reference."""
+    diff = np.asarray(x, dtype=float) - np.asarray(x2, dtype=float)
+    return float(np.exp(-float(diff @ diff) / (2.0 * sigma * sigma)))
+
+
 def test_gaussian_kernel_values():
-    assert gaussian_kernel([0.0], [0.0], 1.0) == 1.0
-    assert gaussian_kernel([0.0], [2.0], np.sqrt(2.0)) == pytest.approx(np.exp(-1.0))
+    assert gaussian_gram([[0.0]], [[0.0]], 1.0)[0, 0] == 1.0
+    assert gaussian_gram([[0.0]], [[2.0]], np.sqrt(2.0))[0, 0] == pytest.approx(np.exp(-1.0))
     # symmetry
-    a, b = [0.3, -1.2], [1.0, 0.5]
-    assert gaussian_kernel(a, b, 0.7) == pytest.approx(gaussian_kernel(b, a, 0.7))
+    a, b = [[0.3, -1.2]], [[1.0, 0.5]]
+    assert gaussian_gram(a, b, 0.7)[0, 0] == pytest.approx(gaussian_gram(b, a, 0.7)[0, 0])
 
 
 def test_gaussian_kernel_bad_inputs():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        gaussian_kernel([0.0], [0.0, 1.0], 1.0)
+        gaussian_gram([[0.0]], [[0.0, 1.0]], 1.0)
     with pytest.raises(ValueError, match="bandwidth"):
-        gaussian_kernel([0.0], [1.0], 0.0)
+        gaussian_gram([[0.0]], [[1.0]], 0.0)
     with pytest.raises(ValueError, match="bandwidth"):
-        gaussian_kernel([0.0], [1.0], -2.0)
+        gaussian_gram([[0.0]], [[1.0]], -2.0)
 
 
 def test_gaussian_gram_matches_scalar_kernel():
@@ -106,7 +111,7 @@ def test_gaussian_gram_matches_scalar_kernel():
     for l in range(4):
         for i in range(6):
             assert G[l, i] == pytest.approx(
-                gaussian_kernel(centers[l], points[i], 0.9)
+                _scalar_kernel(centers[l], points[i], 0.9)
             )
 
 

@@ -30,20 +30,15 @@ def _mass(assignment, pi):
 # ------------------------------------------------------- plan_to_assignment
 
 
-def test_round_small_plan_both_methods():
+def test_round_small_plan():
     pi = np.array([[0.1, 0.4], [0.3, 0.2]])
-    for method in ("greedy", "optimal"):
-        a = plan_to_assignment(pi, method=method)
-        assert sorted(a.pairs) == [(0, 1), (1, 0)]
+    assert sorted(plan_to_assignment(pi).pairs) == [(0, 1), (1, 0)]
 
 
 def test_optimal_beats_greedy_when_greedy_is_myopic():
-    # taking the single largest entry first forfeits the better matching
+    # taking the single largest entry first (mass 11) forfeits the better matching
     pi = np.array([[10.0, 9.0], [9.0, 1.0]])
-    greedy = plan_to_assignment(pi, method="greedy")
-    optimal = plan_to_assignment(pi, method="optimal")
-    assert _mass(greedy, pi) == pytest.approx(11.0)
-    assert _mass(optimal, pi) == pytest.approx(18.0)
+    assert _mass(plan_to_assignment(pi), pi) == pytest.approx(18.0)
 
 
 def test_optimal_matches_exhaustive_search():
@@ -54,29 +49,21 @@ def test_optimal_matches_exhaustive_search():
             sum(pi[i, p[i]] for i in range(5))
             for p in itertools.permutations(range(5))
         )
-        a = plan_to_assignment(pi, method="optimal")
+        a = plan_to_assignment(pi)
         assert _mass(a, pi) == pytest.approx(best, rel=1e-12)
-
-
-def test_greedy_breaks_ties_lexicographically():
-    a = plan_to_assignment(uniform_plan(3, 3), method="greedy")
-    assert a.pairs == [(0, 0), (1, 1), (2, 2)]
 
 
 def test_rectangular_plan_covers_smaller_side():
     rng = np.random.default_rng(1)
     pi = rng.random((2, 5))
-    for method in ("greedy", "optimal"):
-        a = plan_to_assignment(pi, method=method)
-        assert len(a.pairs) == 2
-        assert len({j for _, j in a.pairs}) == 2
+    a = plan_to_assignment(pi)
+    assert len(a.pairs) == 2
+    assert len({j for _, j in a.pairs}) == 2
     pi = rng.random((5, 2))
     assert len(plan_to_assignment(pi).pairs) == 2
 
 
-def test_round_rejects_unknown_method_and_bad_shape():
-    with pytest.raises(ValueError, match="method"):
-        plan_to_assignment(np.eye(2), method="best")
+def test_round_rejects_bad_shape():
     with pytest.raises(ValueError, match="matrix"):
         plan_to_assignment(np.ones(4))
 

@@ -1,5 +1,7 @@
-"""The package's top-level names are exactly those README's Library section documents."""
+"""The package's top-level names are exactly those README's Library section
+documents, and every exported name has a caller outside the tests."""
 
+import ast
 import dataclasses
 import importlib
 import re
@@ -11,7 +13,9 @@ import pytest
 import semismi
 from semismi.transport import SinkhornParams
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+PACKAGE = Path(semismi.__file__).resolve().parent
 
 DOCUMENTED = {
     "CvGrid",
@@ -48,6 +52,11 @@ OPTIONS = {
 
 SUBMODULES = ("data", "density_ratio", "estimator", "kernels", "matching", "model_selection", "transport")
 
+# Exported names that no product code calls, each kept for a stated reason.
+KEPT_WITHOUT_CALLER = {
+    "smi_estimate_paired": "the LSMI plug-in read-out alpha^T h / 2 - 1/2 of a fitted plan",
+}
+
 
 def _library_code_names() -> set:
     """Identifiers in the code block and code spans of README's Library section."""
@@ -81,3 +90,41 @@ def test_readme_library_section_names_nothing_unexported():
 @pytest.mark.parametrize("cls", OPTIONS, ids=lambda cls: cls.__name__)
 def test_option_fields_are_pinned(cls):
     assert {field.name for field in dataclasses.fields(cls)} == OPTIONS[cls]
+
+
+def _code_identifiers(tree) -> set:
+    """Names a module reads or looks up as attributes; definitions, import
+    lists, assignments and strings (docstrings, ``__all__``) do not count."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _literal(tree, name: str):
+    """The literal a module assigns to ``name`` at top level, or None."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def test_every_export_has_a_product_caller():
+    # a public name only tests call is a second path to retire, or needs a reason here
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    used = set().union(*(_code_identifiers(tree) for tree in trees.values()))
+    # perfbench/spans.py is read, not imported: its TARGETS are the names it wraps
+    targets = _literal(ast.parse((ROOT / "perfbench" / "spans.py").read_text()), "TARGETS")
+    allowed = _library_code_names() | {fn for _, fn in targets} | set(KEPT_WITHOUT_CALLER)
+    orphans = []
+    for module, tree in trees.items():
+        for name in _literal(tree, "__all__") or []:
+            # a module's own uses count, not its definition or its __all__ entry
+            if name not in allowed and name not in used:
+                orphans.append(f"{module}:{name}")
+    assert not orphans, f"exported but called only by tests: {orphans}"

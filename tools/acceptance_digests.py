@@ -9,7 +9,7 @@ The command lines cover the CLI commands whose outputs are deterministic:
 1. ``estimate`` on synthetic linear data, with CV and ``--save-plan``;
 2. ``estimate`` from 24-row tables with 6 known pairs, pinned;
 3. ``match`` from the same tables with truth and labels, with CV;
-4. ``match`` on synthetic nonlinear data, pinned, greedy rounding;
+4. ``match`` on synthetic nonlinear data, pinned, Hungarian rounding;
 5. ``summarize --grid 3x4`` with 5 anchors, with CV;
 6. ``summarize --grid 3x4`` without anchors, pinned;
 7. ``generate --synthetic pca``.
@@ -74,7 +74,7 @@ def command_lines(folder: Path) -> list[list[str]]:
         ["match", *tables, "--truth", t["truth"], "--labels-x", t["lx"], "--labels-y", t["ly"],
          "--b", "12", "--save-plan"],
         ["match", "--synthetic", "nonlinear", "--n", "6", "--nx", "20", "--ny", "20",
-         "--b", "10", "--lambda", "0.01", "--beta", "0.5", "--method", "greedy"],
+         "--b", "10", "--lambda", "0.01", "--beta", "0.5"],
         ["summarize", "--items", t["items"], "--grid", "3x4", "--anchors", t["anchors"],
          "--b", "8"],
         ["summarize", "--items", t["items"], "--grid", "3x4", "--b", "8",
