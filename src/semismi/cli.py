@@ -246,12 +246,15 @@ def _resolve_data(args, recorder: RunRecorder):
 
 def _tune(args, recorder: RunRecorder, data):
     """The run's config, with lambda and beta chosen by CV on ``data``
-    unless --lambda and --beta both pin them.  ``data=None`` skips CV.
+    unless --lambda and --beta pin them; one without the other is an
+    error.  ``data=None`` skips CV.
 
     Returns (config, report); report is None when CV did not run.
     """
+    if (args.lam is None) != (args.beta is None):
+        raise ValueError("--lambda and --beta must be given together")
     config = _resolve_config(args)
-    if data is None or (args.lam is not None and args.beta is not None):
+    if data is None or args.lam is not None:
         return config, None
     report = cross_validate(data, config, CvGrid(seed=args.seed))
     config = replace(config, lam=report.best_lambda, beta=report.best_beta)
@@ -377,9 +380,11 @@ def cmd_summarize(args, recorder: RunRecorder) -> int:
         anchors = _load_index(args.anchors, "--anchors", recorder)
         grid = GridSpec(positions, anchors)
     with recorder.phase("cv_seconds"):
-        # CV holds out half of the anchors, so it needs a few of them
-        cv_data = grid_sample_set(items, grid)[0] if len(grid.anchors) >= 4 else None
-        config, report = _tune(args, recorder, cv_data)
+        data = grid_sample_set(items, grid)[0]
+        # CV holds out half of the anchors, so it needs a few of them, and
+        # with no item or no position free there is nothing to fit
+        tunable = len(grid.anchors) >= 4 and data.n_x > 0 and data.n_y > 0
+        config, report = _tune(args, recorder, data if tunable else None)
     with recorder.phase("fit_seconds"):
         placements, result = grid_summarize(items, grid, config)
     with recorder.phase("write_seconds"):
@@ -472,8 +477,8 @@ def cmd_replay(args) -> int:
     if not isinstance(manifest, dict):
         manifest = {}
     argv = manifest.get("argv")
-    if not isinstance(argv, list):
-        raise ValueError(f"{manifest_path}: manifest has no 'argv' list")
+    if not isinstance(argv, list) or not argv or not all(isinstance(a, str) for a in argv):
+        raise ValueError(f"{manifest_path}: manifest 'argv' must be a non-empty list of strings")
     if argv[:1] == ["replay"]:
         # replay writes no manifest; re-running one would recurse without end
         raise ValueError(f"{manifest_path}: manifest 'argv' is itself a replay")

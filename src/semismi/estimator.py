@@ -24,13 +24,7 @@ from .density_ratio import (
     weighted_feature_sum,
 )
 from .kernels import BasisSet, as_points, feature_columns, sample_basis
-from .transport import (
-    SinkhornParams,
-    TransportPlan,
-    plan_entropy,
-    sinkhorn_solve,
-    uniform_plan,
-)
+from .transport import TransportPlan, plan_entropy, sinkhorn_solve, uniform_plan
 
 __all__ = [
     "SampleSet",
@@ -118,7 +112,10 @@ class EstimatorConfig:
     """Hyperparameters of one fit.
 
     ``lam`` and ``beta`` are normally chosen by cross-validation; the
-    defaults here are mid-grid values for direct use.
+    defaults here are mid-grid values for direct use.  The Sinkhorn
+    step's sweep cap and tolerance are the constants
+    :data:`~semismi.transport.MAX_SWEEPS` and
+    :data:`~semismi.transport.MARGINAL_TOL`.
     """
 
     n_basis: int = 200
@@ -127,8 +124,6 @@ class EstimatorConfig:
     beta: float = 0.8
     max_outer_iters: int = 20
     seed: int = 0
-    max_inner_iters: int = 1000
-    marginal_tol: float = 1e-11
 
     def __post_init__(self):
         if self.n_basis < 1:
@@ -139,16 +134,8 @@ class EstimatorConfig:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
         if not 0.0 <= self.lam < np.inf:
             raise ValueError(f"lam must be non-negative and finite, got {self.lam}")
-        # Delegates epsilon/inner-loop validation.
-        self.sinkhorn
-
-    @property
-    def sinkhorn(self) -> SinkhornParams:
-        return SinkhornParams(
-            epsilon=self.epsilon,
-            max_inner_iters=self.max_inner_iters,
-            marginal_tol=self.marginal_tol,
-        )
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 @dataclass(eq=False)
@@ -211,7 +198,6 @@ def fit(data: SampleSet, config: EstimatorConfig, basis: BasisSet | None = None)
     H = quadratic_term(K_all, L_all)
     # H and lam are fixed for the whole fit: decompose once, solve per round.
     ridge = RidgeSystem(H, config.lam)
-    params = config.sinkhorn
     plan = uniform_plan(n_x, n_y)
     setup_s = time.perf_counter() - t0
 
@@ -230,7 +216,7 @@ def fit(data: SampleSet, config: EstimatorConfig, basis: BasisSet | None = None)
         # Two n_x x n_y arrays at most: the solve forms the reward from
         # its factors in the new plan's buffer, and the old plan, whose
         # buffer takes the difference, is freed once the gap is known.
-        new_plan = sinkhorn_solve((K_unpair, alpha, L_unpair), config.beta, params, init=plan)
+        new_plan = sinkhorn_solve((K_unpair, alpha, L_unpair), config.beta, config.epsilon, plan)
         plan.pi -= new_plan.pi
         gap = float(np.linalg.norm(plan.pi))
         plan = new_plan

@@ -47,7 +47,6 @@ import numpy as np
 from .density_ratio import ratio_cross, weighted_feature_sum
 
 __all__ = [
-    "SinkhornParams",
     "TransportPlan",
     "uniform_plan",
     "cost_matrix",
@@ -55,6 +54,14 @@ __all__ = [
     "plan_entropy",
 ]
 
+#: Sweeps after which a solve stops and reports ``converged=False``.
+MAX_SWEEPS = 1000
+#: Largest violation of either marginal that a solve accepts.  It is
+#: deliberately much tighter than anything asserted downstream: plan
+#: error feeds straight into the recorded objective values, and a loose
+#: inner solve (1e-9 and above) makes the outer trace wiggle at the same
+#: magnitude.  Warm starts keep the extra sweeps nearly free.
+MARGINAL_TOL = 1e-11
 #: |log u| beyond which a scaling vector is absorbed into the potentials.
 ABSORB_THRESHOLD = 33.0
 _ABSORB_LOW = math.exp(-ABSORB_THRESHOLD)
@@ -84,30 +91,6 @@ RELAX_OMEGA_CAP = 1.8
 #: exceeds its value at the switch by this factor.  On that reward a
 #: factor of 2 took 302 sweeps, 10 and 100 took 114 and 117.
 RELAX_FALLBACK = 10.0
-
-
-@dataclass
-class SinkhornParams:
-    """Knobs of the inner scaling loop.
-
-    The marginal tolerance is deliberately much tighter than anything
-    asserted downstream: plan error feeds straight into the recorded
-    objective values, and a loose inner solve (1e-9 and above) makes
-    the outer trace wiggle at the same magnitude.  Warm starts keep the
-    extra sweeps nearly free.
-    """
-
-    epsilon: float = 0.3
-    max_inner_iters: int = 1000
-    marginal_tol: float = 1e-11
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.max_inner_iters < 1:
-            raise ValueError("max_inner_iters must be >= 1")
-        if not self.marginal_tol > 0.0:
-            raise ValueError("marginal_tol must be positive")
 
 
 @dataclass(eq=False)
@@ -198,12 +181,7 @@ def _positive_finite(sums: np.ndarray) -> bool:
     return bool(0.0 < _min(sums) and _max(sums) < np.inf)
 
 
-def sinkhorn_solve(
-    reward,
-    beta: float,
-    params: SinkhornParams,
-    init: TransportPlan | None = None,
-) -> TransportPlan:
+def sinkhorn_solve(reward, beta: float, epsilon: float, init: TransportPlan) -> TransportPlan:
     """Balance exp((1 - beta) C / epsilon) to uniform marginals.
 
     ``reward`` is the factor triple (K, alpha, L) of C = (K * alpha)^T L,
@@ -213,21 +191,23 @@ def sinkhorn_solve(
 
     Sweeps alternate exact row balancing with exact column balancing;
     the iteration stops once the marginal not currently enforced is
-    violated by at most ``params.marginal_tol`` (so the returned plan
-    meets both constraints to that tolerance).  A slow solve
-    over-relaxes both half-steps (see the module docstring) and ends
-    with one plain sweep, unless it meets the tolerance on the last
-    allowed sweep; its plan's own marginals then decide ``converged``.
-    Hitting the sweep cap first returns the current plan with
+    violated by at most ``MARGINAL_TOL`` (so the returned plan meets
+    both constraints to that tolerance).  A slow solve over-relaxes both
+    half-steps (see the module docstring) and ends with one plain sweep,
+    unless it meets the tolerance on the last allowed sweep; its plan's
+    own marginals then decide ``converged``.  Hitting the sweep cap
+    ``MAX_SWEEPS`` first returns the current plan with
     ``converged=False``, its actual marginal violation in
-    ``marginal_error`` and a warning rather than an error.
+    ``marginal_error`` and a warning rather than an error.  Both
+    constants are read at each call.  ``epsilon`` is checked by
+    ``EstimatorConfig``, not here.
 
     The dual potentials start from ``init``, the ``TransportPlan`` of a
-    previous solve on a nearby reward, or without one from
-    ``uniform_plan(n_x, n_y)``'s.  The kernel is formed in the plan's
-    buffer by one GEMM of the factors plus the potentials; absorptions
-    and the log-domain pass, which runs only when that kernel overflows
-    or has an empty row or column, form it the same way.
+    previous solve on a nearby reward or ``uniform_plan(n_x, n_y)``.
+    The kernel is formed in the plan's buffer by one GEMM of the
+    factors plus the potentials; absorptions and the log-domain pass,
+    which runs only when that kernel overflows or has an empty row or
+    column, form it the same way.
 
     The returned plan records its entropy, computed from the potentials
     and the plan's actual row and column sums (exact also when the
@@ -248,7 +228,7 @@ def sinkhorn_solve(
     # of the factors in the buffer M, where every rebuild of the log
     # kernel and finally the plan are formed too.  Non-finite factors,
     # or a product that overflows, leave a non-finite entry in S.
-    scale = (1.0 - beta) / params.epsilon
+    scale = (1.0 - beta) / epsilon
     M = np.empty((n_x, n_y))
     M_T = M.T
     with np.errstate(over="ignore", invalid="ignore"):
@@ -259,7 +239,7 @@ def sinkhorn_solve(
 
     a = 1.0 / n_x
     b = 1.0 / n_y
-    tol = params.marginal_tol
+    tol = MARGINAL_TOL
 
     def log_kernel(p, q):
         """M = p_i + S_ij + q_j; a None potential is left out."""
@@ -269,8 +249,6 @@ def sinkhorn_solve(
         if q is not None:
             np.add(M, q[None, :], out=M)
 
-    if init is None:
-        init = uniform_plan(n_x, n_y)
     phi = np.array(init.row_potential, dtype=float)
     psi = np.array(init.col_potential, dtype=float)
     if phi.shape != (n_x,) or psi.shape != (n_y,):
@@ -314,7 +292,7 @@ def sinkhorn_solve(
     omega = 1.0
     may_relax = True
     last_err = last_ratio = err_at_switch = np.inf
-    while it < params.max_inner_iters:
+    while it < MAX_SWEEPS:
         it += 1
         if omega == 1.0:
             np.divide(a, Kv, out=u)
@@ -392,7 +370,7 @@ def sinkhorn_solve(
             converged = True
         else:
             warnings.warn(
-                f"sinkhorn_solve hit the sweep cap ({params.max_inner_iters}) "
+                f"sinkhorn_solve hit the sweep cap ({MAX_SWEEPS}) "
                 f"with marginal violation {err:.3e}",
                 RuntimeWarning,
                 stacklevel=2,

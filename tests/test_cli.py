@@ -73,6 +73,22 @@ def test_subcommand_flags_are_pinned(command):
     assert flags - {"-h", "--help"} == SUBCOMMAND_FLAGS[command]
 
 
+@pytest.mark.parametrize("flag", ["--lambda", "--beta"])
+@pytest.mark.parametrize("command", ["estimate", "match", "summarize"])
+def test_a_lone_lambda_or_beta_exits_2(tmp_path, capsys, command, flag):
+    # one alone is ambiguous: CV would overrule it, or a default would complete it
+    out = tmp_path / "run"
+    if command == "summarize":
+        items = _write_table(tmp_path / "items.csv", np.random.default_rng(0).standard_normal((6, 3)))
+        data_args = ["--items", items, "--grid", "2x3"]
+    else:
+        data_args = ["--synthetic", "linear", "--n", "12", "--nx", "30", "--ny", "30"]
+    argv = [command, "--out", str(out), *data_args, "--b", "8", flag, "0.05"]
+    assert main(argv) == 2
+    assert "error: --lambda and --beta must be given together" in capsys.readouterr().err
+    assert not (out / "result.txt").exists()
+
+
 # ----------------------------------------------------------------- estimate
 
 
@@ -473,6 +489,29 @@ def test_summarize_surplus_items_reported(tmp_path):
     assert len(unplaced) == 2
 
 
+@pytest.mark.parametrize(
+    "n_items, grid, placed, unplaced",
+    [(6, "2x2", 4, 2), (4, "3x3", 4, 0)],
+    ids=["no-free-position", "no-free-item"],
+)
+def test_summarize_with_nothing_free_skips_cv(tmp_path, n_items, grid, placed, unplaced):
+    # four anchors are enough for CV, but with no free item or position
+    # there is no fit to tune: the anchors are the layout
+    items = _write_table(
+        tmp_path / "items.csv", np.random.default_rng(4).standard_normal((n_items, 3))
+    )
+    anchors = _write_table(tmp_path / "anchors.csv", [[i, i] for i in range(4)])
+    out = tmp_path / "run"
+    argv = ["summarize", "--out", str(out), "--items", items, "--grid", grid,
+            "--anchors", anchors, "--b", "4"]
+    assert main(argv) == 0
+    record = _read_record(out / "result.txt")
+    assert (record["placed"], record["unplaced"]) == (str(placed), str(unplaced))
+    assert not (out / "cv.csv").exists()
+    lines = (out / "placements.csv").read_text().splitlines()
+    assert lines[1:] == [f"{i},{i}" for i in range(4)]
+
+
 def test_summarize_grid_argument_errors(tmp_path, capsys):
     items = _write_table(tmp_path / "items.csv", np.zeros((3, 2)))
     base = ["summarize", "--out", str(tmp_path / "o"), "--items", items,
@@ -647,12 +686,14 @@ def test_replay_detects_tampering(tmp_path, capsys):
     [
         ({"outputs": {}}, "'argv'"),
         ({"argv": "estimate --out o", "outputs": {}}, "'argv'"),
+        ({"argv": ["estimate", 5], "outputs": {}}, "'argv'"),
+        ({"argv": [], "outputs": {}}, "'argv'"),
         ({"argv": ["replay", "manifest.json", "--out", "o"], "outputs": {}}, "'argv'"),
         ({"argv": ["estimate", "--out", "o"]}, "'outputs'"),
         ({"argv": ["estimate", "--out", "o"], "outputs": {"result.txt": {}}}, "'sha256'"),
         ({"argv": ["estimate", "--out"], "outputs": {}}, "--out"),
     ],
-    ids=["no-argv", "argv-not-a-list", "argv-is-a-replay", "no-outputs", "output-without-sha256",
+    ids=["no-argv", "argv-not-a-list", "argv-not-strings", "argv-empty", "argv-is-a-replay", "no-outputs", "output-without-sha256",
          "out-without-value"],
 )
 def test_replay_rejects_malformed_manifest(tmp_path, capsys, manifest, missing):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from semismi import EstimatorConfig, SampleSet, SyntheticSpec, fit, generate, smi_estimate
+from semismi import EstimatorConfig, SampleSet, SyntheticSpec, fit, generate, smi_estimate, transport
 from semismi.density_ratio import RidgeSystem, mixed_linear_term, quadratic_term, solve_alpha
 from semismi.estimator import objective, smi_estimate_paired
 from semismi.kernels import BasisSet, feature_columns, sample_basis
@@ -86,14 +86,14 @@ def test_config_defaults():
     assert cfg.n_basis == 200
     assert cfg.epsilon == 0.3
     assert cfg.max_outer_iters == 20
-    assert cfg.sinkhorn.epsilon == 0.3
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         EstimatorConfig(beta=1.5)
-    with pytest.raises(ValueError):
-        EstimatorConfig(epsilon=0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            EstimatorConfig(epsilon=bad)
     with pytest.raises(ValueError):
         EstimatorConfig(max_outer_iters=0)
     with pytest.raises(ValueError):
@@ -201,7 +201,7 @@ def test_fit_returns_valid_plan(small_data):
 
 def test_fit_with_an_infeasible_final_plan_is_not_converged(small_data):
     # at epsilon = 1e-4 every inner solve stops at its sweep cap short of
-    # marginal_tol; the plan gap may still settle, but the fit must not
+    # MARGINAL_TOL; the plan gap may still settle, but the fit must not
     # call itself converged around a plan that misses its marginals
     with pytest.warns(RuntimeWarning, match="sweep cap"):
         res = fit(small_data, EstimatorConfig(n_basis=6, epsilon=1e-4, seed=1))
@@ -226,7 +226,7 @@ def test_small_epsilon_fits_on_500_pools_report_honestly(kind, epsilon):
     # equal up to the rounding of the sums (about 1e-18 here)
     assert res.plan.marginal_error == pytest.approx(actual, rel=1e-6, abs=1e-17)
     if res.plan.converged:
-        assert actual <= config.marginal_tol + 1e-17
+        assert actual <= transport.MARGINAL_TOL + 1e-17
 
 
 def test_fit_holds_at_most_two_plan_sized_arrays():

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 import semismi
-from semismi.transport import SinkhornParams
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -41,11 +40,7 @@ DOCUMENTED = {
 
 # Every settable option of a fit or a synthetic dataset; a new one must be added here on purpose.
 OPTIONS = {
-    semismi.EstimatorConfig: {
-        "n_basis", "epsilon", "lam", "beta", "max_outer_iters", "seed",
-        "max_inner_iters", "marginal_tol",
-    },
-    SinkhornParams: {"epsilon", "max_inner_iters", "marginal_tol"},
+    semismi.EstimatorConfig: {"n_basis", "epsilon", "lam", "beta", "max_outer_iters", "seed"},
     semismi.CvGrid: {"lambdas", "betas", "seed"},
     semismi.SyntheticSpec: {"kind", "n", "n_x", "n_y", "seed"},
 }

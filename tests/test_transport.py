@@ -8,15 +8,15 @@ import pytest
 
 from semismi import transport
 from semismi.density_ratio import mixed_linear_term, weighted_feature_sum
-from semismi.transport import (
-    SinkhornParams,
-    cost_matrix,
-    plan_entropy,
-    sinkhorn_solve,
-    uniform_plan,
-)
+from semismi.transport import cost_matrix, plan_entropy, sinkhorn_solve, uniform_plan
 
 from conftest import assert_valid_plan, dense, entrywise_entropy
+
+
+def _cold(reward, beta, epsilon=0.3):
+    """A solve from the uniform plan, where every fit starts."""
+    K, _, L = reward
+    return sinkhorn_solve(reward, beta, epsilon, uniform_plan(K.shape[1], L.shape[1]))
 
 
 def test_uniform_plan_basics():
@@ -26,20 +26,8 @@ def test_uniform_plan_basics():
     assert plan.converged
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        SinkhornParams(epsilon=0.0)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="epsilon"):
-            SinkhornParams(epsilon=bad)
-    with pytest.raises(ValueError):
-        SinkhornParams(max_inner_iters=0)
-    with pytest.raises(ValueError):
-        SinkhornParams(marginal_tol=-1.0)
-
-
 def test_zero_cost_gives_uniform_plan():
-    plan = sinkhorn_solve(dense(np.zeros((5, 7))), beta=0.5, params=SinkhornParams())
+    plan = _cold(dense(np.zeros((5, 7))), 0.5)
     np.testing.assert_allclose(plan.pi, 1.0 / 35.0, atol=1e-12)
     assert plan.converged
 
@@ -47,7 +35,7 @@ def test_zero_cost_gives_uniform_plan():
 def test_beta_one_gives_uniform_plan():
     rng = np.random.default_rng(0)
     cost = rng.standard_normal((6, 4))
-    plan = sinkhorn_solve(dense(cost), beta=1.0, params=SinkhornParams())
+    plan = _cold(dense(cost), 1.0)
     np.testing.assert_allclose(plan.pi, 1.0 / 24.0, atol=1e-12)
 
 
@@ -55,7 +43,7 @@ def test_two_by_two_closed_form():
     # (1-beta) C / eps = I, whose balanced Gibbs plan is known exactly
     eps, beta = 0.3, 0.5
     cost = np.eye(2) * eps / (1.0 - beta)
-    plan = sinkhorn_solve(dense(cost), beta=beta, params=SinkhornParams(epsilon=eps))
+    plan = _cold(dense(cost), beta, eps)
     e = np.e
     on_diag = e / (2.0 * (1.0 + e))
     off_diag = 1.0 / (2.0 * (1.0 + e))
@@ -67,20 +55,19 @@ def test_two_by_two_closed_form():
 
 def test_marginals_within_tolerance():
     rng = np.random.default_rng(1)
-    params = SinkhornParams()
     for shape in [(10, 10), (25, 13), (3, 40)]:
         cost = rng.standard_normal(shape)
-        plan = sinkhorn_solve(dense(cost), beta=0.3, params=params)
+        plan = _cold(dense(cost), 0.3)
         assert plan.converged
         assert_valid_plan(plan, *shape, tol=1e-6)
-        assert plan.marginal_error <= params.marginal_tol
+        assert plan.marginal_error <= transport.MARGINAL_TOL
 
 
 def test_higher_reward_attracts_mass():
     # one strongly preferred cell should end above the uniform level
     cost = np.zeros((3, 3))
     cost[1, 2] = 2.0
-    plan = sinkhorn_solve(dense(cost), beta=0.2, params=SinkhornParams())
+    plan = _cold(dense(cost), 0.2)
     assert plan.pi[1, 2] > 1.0 / 9.0
     assert plan.pi[1, 2] == plan.pi.max()
 
@@ -90,7 +77,7 @@ def test_gibbs_fixed_point_structure():
     rng = np.random.default_rng(2)
     eps, beta = 0.4, 0.3
     cost = rng.standard_normal((8, 5))
-    plan = sinkhorn_solve(dense(cost), beta=beta, params=SinkhornParams(epsilon=eps))
+    plan = _cold(dense(cost), beta, eps)
     S = (1.0 - beta) * cost / eps
     log_pi = np.log(plan.pi)
     residual = log_pi - S
@@ -103,46 +90,27 @@ def test_row_permutation_equivariance():
     rng = np.random.default_rng(3)
     cost = rng.standard_normal((9, 6))
     perm = rng.permutation(9)
-    base = sinkhorn_solve(dense(cost), beta=0.4, params=SinkhornParams())
-    permuted = sinkhorn_solve(dense(cost[perm]), beta=0.4, params=SinkhornParams())
+    base = _cold(dense(cost), 0.4)
+    permuted = _cold(dense(cost[perm]), 0.4)
     np.testing.assert_allclose(permuted.pi, base.pi[perm], atol=1e-9)
 
 
 def test_determinism():
     rng = np.random.default_rng(4)
     cost = rng.standard_normal((12, 12))
-    p1 = sinkhorn_solve(dense(cost), beta=0.6, params=SinkhornParams())
-    p2 = sinkhorn_solve(dense(cost), beta=0.6, params=SinkhornParams())
+    p1 = _cold(dense(cost), 0.6)
+    p2 = _cold(dense(cost), 0.6)
     np.testing.assert_array_equal(p1.pi, p2.pi)
 
 
 def test_warm_start_reaches_same_plan():
     rng = np.random.default_rng(5)
     cost = rng.standard_normal((10, 8))
-    params = SinkhornParams()
-    cold = sinkhorn_solve(dense(cost), beta=0.3, params=params)
-    warm = sinkhorn_solve(dense(cost), beta=0.3, params=params, init=cold)
+    cold = _cold(dense(cost), 0.3)
+    warm = sinkhorn_solve(dense(cost), 0.3, 0.3, cold)
     np.testing.assert_allclose(warm.pi, cold.pi, atol=1e-10)
     # warm start from the solution should converge almost immediately
     assert warm.iterations <= cold.iterations
-
-
-@pytest.mark.parametrize("shift", [0.0, 2000.0])
-def test_cold_solve_is_the_solve_from_the_uniform_plan(shift):
-    # without init the potentials start from the uniform plan's, so a cold
-    # solve is bit for bit the warm one from uniform_plan; a shift of 2000
-    # overflows that kernel and takes both through the log-domain pass
-    cost = np.random.default_rng(12).standard_normal((9, 7)) + shift
-    params = SinkhornParams()
-    cold = sinkhorn_solve(dense(cost), beta=0.3, params=params)
-    warm = sinkhorn_solve(dense(cost), beta=0.3, params=params, init=uniform_plan(9, 7))
-    assert cold.converged and warm.converged
-    np.testing.assert_array_equal(cold.pi, warm.pi)
-    np.testing.assert_array_equal(cold.row_potential, warm.row_potential)
-    np.testing.assert_array_equal(cold.col_potential, warm.col_potential)
-    assert (cold.iterations, cold.entropy, cold.marginal_error) == (
-        warm.iterations, warm.entropy, warm.marginal_error
-    )
 
 
 @pytest.mark.parametrize("shift", [800.0, -800.0])
@@ -153,14 +121,13 @@ def test_unusable_warm_start_falls_back_to_log_domain(shift):
     # floating-point warnings
     rng = np.random.default_rng(5)
     cost = rng.standard_normal((10, 8))
-    params = SinkhornParams()
-    cold = sinkhorn_solve(dense(cost), beta=0.3, params=params)
+    cold = _cold(dense(cost), 0.3)
     init = replace(
         cold, row_potential=cold.row_potential + shift, col_potential=cold.col_potential + shift
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        warm = sinkhorn_solve(dense(cost), beta=0.3, params=params, init=init)
+        warm = sinkhorn_solve(dense(cost), 0.3, 0.3, init)
     assert warm.converged
     assert_valid_plan(warm, 10, 8, tol=1e-10)
     np.testing.assert_allclose(warm.pi, cold.pi, atol=1e-10)
@@ -168,29 +135,29 @@ def test_unusable_warm_start_falls_back_to_log_domain(shift):
 
 def test_single_row_plan_is_uniform():
     cost = np.array([[3.0, -1.0, 0.5]])
-    plan = sinkhorn_solve(dense(cost), beta=0.2, params=SinkhornParams())
+    plan = _cold(dense(cost), 0.2)
     np.testing.assert_allclose(plan.pi, 1.0 / 3.0, atol=1e-12)
     assert_valid_plan(plan, 1, 3, tol=1e-12)
 
 
-def test_iteration_cap_warns_and_flags():
+def test_iteration_cap_warns_and_flags(monkeypatch):
     rng = np.random.default_rng(6)
     cost = 50.0 * rng.standard_normal((20, 20))
-    params = SinkhornParams(max_inner_iters=2, marginal_tol=1e-14)
-    with pytest.warns(RuntimeWarning):
-        plan = sinkhorn_solve(dense(cost), beta=0.0, params=params)
+    monkeypatch.setattr(transport, "MAX_SWEEPS", 2)
+    monkeypatch.setattr(transport, "MARGINAL_TOL", 1e-14)
+    with pytest.warns(RuntimeWarning, match=r"sweep cap \(2\)"):
+        plan = _cold(dense(cost), 0.0)
     assert not plan.converged
-    assert plan.marginal_error > params.marginal_tol
+    assert plan.marginal_error > transport.MARGINAL_TOL
 
 
 def test_rejects_bad_inputs():
-    params = SinkhornParams()
     with pytest.raises(ValueError):
-        sinkhorn_solve(dense(np.array([[np.nan, 0.0]])), beta=0.5, params=params)
+        _cold(dense(np.array([[np.nan, 0.0]])), 0.5)
     with pytest.raises(ValueError):
-        sinkhorn_solve(dense(np.zeros((2, 2))), beta=1.5, params=params)
+        _cold(dense(np.zeros((2, 2))), 1.5)
     with pytest.raises(ValueError):
-        sinkhorn_solve(dense(np.zeros((2, 2))), beta=-0.1, params=params)
+        _cold(dense(np.zeros((2, 2))), -0.1)
 
 
 def test_plan_entropy_uniform():
@@ -207,17 +174,16 @@ def test_entrywise_entropy_oracle_takes_0_log_0_as_0():
 
 def _cap_hit_plan():
     rng = np.random.default_rng(6)
-    params = SinkhornParams(max_inner_iters=2, marginal_tol=1e-14)
-    with pytest.warns(RuntimeWarning, match="sweep cap"):
-        plan = sinkhorn_solve(
-            dense(50.0 * rng.standard_normal((20, 20))), beta=0.0, params=params
-        )
+    with pytest.MonkeyPatch.context() as mp, pytest.warns(RuntimeWarning, match="sweep cap"):
+        mp.setattr(transport, "MAX_SWEEPS", 2)
+        mp.setattr(transport, "MARGINAL_TOL", 1e-14)
+        plan = _cold(dense(50.0 * rng.standard_normal((20, 20))), 0.0)
     assert not plan.converged
     return plan
 
 
 def _fallback_init(reward, beta, shift=800.0):
-    cold = sinkhorn_solve(reward, beta=beta, params=SinkhornParams())
+    cold = _cold(reward, beta)
     return replace(
         cold, row_potential=cold.row_potential + shift, col_potential=cold.col_potential + shift
     )
@@ -229,7 +195,7 @@ FALLBACK_COST = np.random.default_rng(5).standard_normal((10, 8))
 def _fallback_plan():
     reward = dense(FALLBACK_COST)
     init = _fallback_init(reward, 0.3)
-    return sinkhorn_solve(reward, beta=0.3, params=SinkhornParams(), init=init)
+    return sinkhorn_solve(reward, 0.3, 0.3, init)
 
 
 def _factors(seed, b=5, n_x=30, n_y=20, scale=3.0):
@@ -238,19 +204,13 @@ def _factors(seed, b=5, n_x=30, n_y=20, scale=3.0):
 
 
 DUAL_ENTROPY_PLANS = {
-    "converged": lambda: sinkhorn_solve(
-        dense(np.random.default_rng(1).standard_normal((25, 13))), beta=0.3, params=SinkhornParams()
-    ),
+    "converged": lambda: _cold(dense(np.random.default_rng(1).standard_normal((25, 13))), 0.3),
     "cap-hit": _cap_hit_plan,
-    "beta-one": lambda: sinkhorn_solve(
-        dense(np.random.default_rng(0).standard_normal((6, 4))), beta=1.0, params=SinkhornParams()
-    ),
-    "single-row": lambda: sinkhorn_solve(
-        dense(np.array([[3.0, -1.0, 0.5]])), beta=0.2, params=SinkhornParams()
-    ),
+    "beta-one": lambda: _cold(dense(np.random.default_rng(0).standard_normal((6, 4))), 1.0),
+    "single-row": lambda: _cold(dense(np.array([[3.0, -1.0, 0.5]])), 0.2),
     "warm-start-fallback": _fallback_plan,
     "uniform": lambda: uniform_plan(4, 6),
-    "factored": lambda: sinkhorn_solve(_factors(13), beta=0.2, params=SinkhornParams()),
+    "factored": lambda: _cold(_factors(13), 0.2),
 }
 
 
@@ -270,20 +230,16 @@ def test_scalings_past_threshold_are_absorbed(shift):
     # land near e^(-+80), far past e^(+-ABSORB_THRESHOLD)
     rng = np.random.default_rng(5)
     cost = rng.standard_normal((10, 8))
-    params = SinkhornParams()
-    cold = sinkhorn_solve(dense(cost), beta=0.3, params=params)
+    cold = _cold(dense(cost), 0.3)
     phi, psi = cold.row_potential + shift, cold.col_potential + shift
-    kernel = np.exp(phi[:, None] + 0.7 * cost / params.epsilon + psi[None, :])
+    kernel = np.exp(phi[:, None] + 0.7 * cost / 0.3 + psi[None, :])
     assert np.all(np.isfinite(kernel))
     first_row_scalings = (1.0 / 10) / kernel.sum(axis=1)
     assert np.all(np.abs(np.log(first_row_scalings)) > transport.ABSORB_THRESHOLD)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         warm = sinkhorn_solve(
-            dense(cost),
-            beta=0.3,
-            params=params,
-            init=replace(cold, row_potential=phi, col_potential=psi),
+            dense(cost), 0.3, 0.3, replace(cold, row_potential=phi, col_potential=psi)
         )
     assert warm.converged
     assert_valid_plan(warm, 10, 8, tol=1e-10)
@@ -298,7 +254,7 @@ def test_drifting_scalings_are_absorbed_before_they_overflow():
     cost = 10.0 * rng.standard_normal((15, 15))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        plan = sinkhorn_solve(dense(cost), beta=0.0, params=SinkhornParams(epsilon=0.01))
+        plan = _cold(dense(cost), 0.0, 0.01)
     assert [str(w.message).split(" (")[0] for w in caught] == ["sinkhorn_solve hit the sweep cap"]
     assert np.all(np.isfinite(plan.pi))
     row_err = np.max(np.abs(plan.pi.sum(axis=1) - 1.0 / 15.0))
@@ -322,19 +278,18 @@ def test_cost_matrix_rejects_non_finite():
     # the reward's finiteness is checked once, where the solve consumes it
     C = cost_matrix(np.array([np.inf]), np.ones((1, 2)), np.ones((1, 2)))
     with pytest.raises(ValueError, match="non-finite"):
-        sinkhorn_solve(dense(C), beta=0.5, params=SinkhornParams())
+        _cold(dense(C), 0.5)
 
 
 def test_factored_and_dense_rewards_give_the_same_plan():
     # (K, alpha, L) and the matrix cost_matrix builds from them are one
-    # reward: the plans agree to marginal_tol per entry in the same sweeps
+    # reward: the plans agree to MARGINAL_TOL per entry in the same sweeps
     K, alpha, L = _factors(14)
-    params = SinkhornParams()
-    factored = sinkhorn_solve((K, alpha, L), beta=0.2, params=params)
-    matrix = sinkhorn_solve(dense(cost_matrix(alpha, K, L)), beta=0.2, params=params)
+    factored = _cold((K, alpha, L), 0.2)
+    matrix = _cold(dense(cost_matrix(alpha, K, L)), 0.2)
     assert factored.converged and matrix.converged
     assert factored.iterations == matrix.iterations
-    np.testing.assert_allclose(factored.pi, matrix.pi, rtol=0.0, atol=params.marginal_tol)
+    np.testing.assert_allclose(factored.pi, matrix.pi, rtol=0.0, atol=transport.MARGINAL_TOL)
     assert factored.entropy == pytest.approx(matrix.entropy, rel=1e-12)
     # the dense form's factors are (I, 1, C): its mass is the row sums of pi * C
     C = cost_matrix(alpha, K, L)
@@ -343,7 +298,7 @@ def test_factored_and_dense_rewards_give_the_same_plan():
 
 def test_feature_mass_is_the_unpaired_linear_term_bit_for_bit():
     K, alpha, L = _factors(15)
-    plan = sinkhorn_solve((K, alpha, L), beta=0.3, params=SinkhornParams())
+    plan = _cold((K, alpha, L), 0.3)
     np.testing.assert_array_equal(plan.feature_mass, weighted_feature_sum(K, L, plan.pi))
     # beta = 0 with no pairs leaves only the unpaired part
     no_pairs = np.zeros((K.shape[0], 0))
@@ -355,24 +310,23 @@ def test_feature_mass_is_the_unpaired_linear_term_bit_for_bit():
 @pytest.mark.parametrize("n_x, n_y", [(1, 7), (7, 1)])
 def test_single_row_or_column_plans_carry_the_mass(n_x, n_y):
     K, alpha, L = _factors(16, n_x=n_x, n_y=n_y)
-    plan = sinkhorn_solve((K, alpha, L), beta=0.5, params=SinkhornParams())
+    plan = _cold((K, alpha, L), 0.5)
     np.testing.assert_allclose(plan.pi, 1.0 / 7.0, atol=1e-15)
     np.testing.assert_array_equal(plan.feature_mass, weighted_feature_sum(K, L, plan.pi))
 
 
 def test_rejects_bad_factors():
     K, alpha, L = _factors(17)
-    params = SinkhornParams()
     with pytest.raises(ValueError, match="factors"):
-        sinkhorn_solve((K, alpha[:-1], L), beta=0.5, params=params)
+        _cold((K, alpha[:-1], L), 0.5)
     with pytest.raises(ValueError, match="factors"):
-        sinkhorn_solve((K, alpha, L[:-1]), beta=0.5, params=params)
+        _cold((K, alpha, L[:-1]), 0.5)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
-            sinkhorn_solve((K, np.where(np.arange(5) == 2, bad, alpha), L), beta=0.5, params=params)
+            _cold((K, np.where(np.arange(5) == 2, bad, alpha), L), 0.5)
     # finite factors whose product overflows are a non-finite reward too
     with pytest.raises(ValueError, match="non-finite"):
-        sinkhorn_solve((K, np.full(5, 1e308), L), beta=0.5, params=params)
+        _cold((K, np.full(5, 1e308), L), 0.5)
 
 
 def test_log_domain_survives_extreme_costs():
@@ -383,7 +337,7 @@ def test_log_domain_survives_extreme_costs():
     rng = np.random.default_rng(8)
     cost = 500.0 * rng.standard_normal((15, 15))
     with pytest.warns(RuntimeWarning, match="sweep cap"):
-        plan = sinkhorn_solve(dense(cost), beta=0.0, params=SinkhornParams(epsilon=0.3))
+        plan = _cold(dense(cost), 0.0, 0.3)
     assert np.all(np.isfinite(plan.pi))
     assert np.all(plan.pi >= 0.0)
     assert not plan.converged
@@ -398,32 +352,31 @@ def test_large_constant_shift_absorbed():
     # the unshifted solve and still balance exactly
     rng = np.random.default_rng(9)
     cost = rng.standard_normal((10, 7))
-    params = SinkhornParams()
-    base = sinkhorn_solve(dense(cost), beta=0.0, params=params)
-    shifted = sinkhorn_solve(dense(cost + 2000.0), beta=0.0, params=params)
+    base = _cold(dense(cost), 0.0)
+    shifted = _cold(dense(cost + 2000.0), 0.0)
     assert shifted.converged
     assert_valid_plan(shifted, 10, 7, tol=1e-8)
     np.testing.assert_allclose(shifted.pi, base.pi, atol=1e-8)
 
 
-def _plain_sinkhorn(cost, beta, params, init):
+def _plain_sinkhorn(cost, beta, epsilon, init):
     """Reference omega = 1 scaling from warm potentials, with the
     solver's own operations in its order; returns (plan, sweeps, converged)."""
     n_x, n_y = cost.shape
     a, b = 1.0 / n_x, 1.0 / n_y
-    M = cost * ((1.0 - beta) / params.epsilon)
+    M = cost * ((1.0 - beta) / epsilon)
     M += init.row_potential[:, None]
     M += init.col_potential[None, :]
     np.exp(M, out=M)
     u, v = np.ones(n_x), np.ones(n_y)
-    for sweep in range(1, params.max_inner_iters + 1):
+    for sweep in range(1, transport.MAX_SWEEPS + 1):
         u = a / M.dot(v)
         col_weights = M.T.dot(u)
         dev = v * col_weights
-        if max(dev.max() - b, b - dev.min()) <= params.marginal_tol:
+        if max(dev.max() - b, b - dev.min()) <= transport.MARGINAL_TOL:
             return M * u[:, None] * v, sweep, True
         v = b / col_weights
-    return M * u[:, None] * v, params.max_inner_iters, False
+    return M * u[:, None] * v, transport.MAX_SWEEPS, False
 
 
 # Rewards whose plain sweeps shrink the violation by 0.86 to 0.99 per
@@ -432,39 +385,39 @@ SLOW = dict(cost=np.random.default_rng(10).standard_normal((60, 50)), beta=0.0, 
 FAST = dict(cost=np.random.default_rng(11).standard_normal((60, 50)), beta=0.5, epsilon=0.3)
 
 
-def _solve_both(case, **overrides):
-    params = SinkhornParams(epsilon=case["epsilon"], **overrides)
+def _solve_both(case):
     init = uniform_plan(*case["cost"].shape)
-    plan = sinkhorn_solve(dense(case["cost"]), beta=case["beta"], params=params, init=init)
-    return plan, _plain_sinkhorn(case["cost"], case["beta"], params, init), params
+    plan = sinkhorn_solve(dense(case["cost"]), case["beta"], case["epsilon"], init)
+    return plan, _plain_sinkhorn(case["cost"], case["beta"], case["epsilon"], init)
 
 
 def test_slow_solves_relax_to_the_same_plan_in_fewer_sweeps():
-    plan, (ref, ref_sweeps, ref_converged), params = _solve_both(SLOW)
+    plan, (ref, ref_sweeps, ref_converged) = _solve_both(SLOW)
     assert ref_converged and ref_sweeps > 200
     assert plan.converged
     assert plan.iterations <= 0.7 * ref_sweeps
-    assert plan.marginal_error <= params.marginal_tol
-    assert_valid_plan(plan, 60, 50, tol=params.marginal_tol)
+    assert plan.marginal_error <= transport.MARGINAL_TOL
+    assert_valid_plan(plan, 60, 50, tol=transport.MARGINAL_TOL)
     # a relaxed solve ends on an exact row half-step, as plain ones do
     assert np.max(np.abs(plan.pi.sum(axis=1) - 1.0 / 60)) < 1e-15
-    # both plans meet the marginals to marginal_tol around one unique
+    # both plans meet the marginals to MARGINAL_TOL around one unique
     # optimum, so they agree entry by entry on that scale (1.1 times
-    # marginal_tol here; ten times is allowed)
-    np.testing.assert_allclose(plan.pi, ref, rtol=0.0, atol=10 * params.marginal_tol)
+    # MARGINAL_TOL here; ten times is allowed)
+    np.testing.assert_allclose(plan.pi, ref, rtol=0.0, atol=10 * transport.MARGINAL_TOL)
 
 
 def test_fast_solves_keep_the_plain_sweeps_bit_for_bit():
-    plan, (ref, ref_sweeps, ref_converged), _ = _solve_both(FAST)
+    plan, (ref, ref_sweeps, ref_converged) = _solve_both(FAST)
     assert ref_converged
     assert plan.iterations == ref_sweeps
     np.testing.assert_array_equal(plan.pi, ref)
 
 
-def test_sweep_cap_while_relaxing_reports_the_actual_violation():
+def test_sweep_cap_while_relaxing_reports_the_actual_violation(monkeypatch):
     cap = 40
+    monkeypatch.setattr(transport, "MAX_SWEEPS", cap)
     with pytest.warns(RuntimeWarning, match="sweep cap"):
-        plan, (ref, _, ref_converged), _ = _solve_both(SLOW, max_inner_iters=cap)
+        plan, (ref, _, ref_converged) = _solve_both(SLOW)
     assert not plan.converged and not ref_converged
     assert plan.iterations == cap
     # relaxed sweeps leave both marginals inexact; the report must say
@@ -478,56 +431,61 @@ def test_sweep_cap_while_relaxing_reports_the_actual_violation():
     assert plan.marginal_error < 0.1 * ref_err
 
 
-def test_relaxed_solve_capped_at_its_convergence_sweep_reports_its_own_marginals():
+def test_relaxed_solve_capped_at_its_convergence_sweep_reports_its_own_marginals(monkeypatch):
     # The uncapped solve meets the column tolerance relaxed on its
     # next-to-last sweep and ends on a plain one.  Capped at that sweep,
     # the plain sweep does not run: the rows stay inexact, and the plan's
     # own marginals decide the report (here within tolerance, no warning).
-    full, _, _ = _solve_both(SLOW)
+    full, _ = _solve_both(SLOW)
     assert np.max(np.abs(full.pi.sum(axis=1) - 1.0 / 60)) < 1e-15
     cap = full.iterations - 1
+    monkeypatch.setattr(transport, "MAX_SWEEPS", cap)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        plan, _, params = _solve_both(SLOW, max_inner_iters=cap)
+        plan, _ = _solve_both(SLOW)
     assert plan.iterations == cap
     row_err = np.max(np.abs(plan.pi.sum(axis=1) - 1.0 / 60))
     col_err = np.max(np.abs(plan.pi.sum(axis=0) - 1.0 / 50))
     assert row_err > 1e-13
     assert plan.marginal_error == pytest.approx(max(row_err, col_err), rel=1e-12)
-    assert plan.marginal_error <= params.marginal_tol
+    assert plan.marginal_error <= transport.MARGINAL_TOL
     assert plan.converged
 
 
-# (reward, beta, params, init) of solves that end every way a solve can
+# (reward, beta, epsilon, init, transport constants to override) of
+# solves that end every way a solve can; init None is the uniform plan
 POTENTIAL_CASES = {
-    "1x12": lambda: (_factors(18, n_x=1, n_y=12), 0.5, SinkhornParams(), None),
-    "12x1": lambda: (_factors(18, n_x=12, n_y=1), 0.5, SinkhornParams(), None),
-    "converged": lambda: (_factors(13), 0.2, SinkhornParams(), None),
-    "relaxed": lambda: (
-        dense(SLOW["cost"]), SLOW["beta"], SinkhornParams(epsilon=SLOW["epsilon"]), None
-    ),
+    "1x12": lambda: (_factors(18, n_x=1, n_y=12), 0.5, 0.3, None, {}),
+    "12x1": lambda: (_factors(18, n_x=12, n_y=1), 0.5, 0.3, None, {}),
+    "converged": lambda: (_factors(13), 0.2, 0.3, None, {}),
+    "relaxed": lambda: (dense(SLOW["cost"]), SLOW["beta"], SLOW["epsilon"], None, {}),
     "capped": lambda: (
         dense(50.0 * np.random.default_rng(6).standard_normal((20, 20))),
         0.0,
-        SinkhornParams(max_inner_iters=2, marginal_tol=1e-14),
+        0.3,
         None,
+        {"MAX_SWEEPS": 2, "MARGINAL_TOL": 1e-14},
     ),
     "warm-start-fallback": lambda: (
-        dense(FALLBACK_COST), 0.3, SinkhornParams(), _fallback_init(dense(FALLBACK_COST), 0.3)
+        dense(FALLBACK_COST), 0.3, 0.3, _fallback_init(dense(FALLBACK_COST), 0.3), {}
     ),
 }
 
 
 @pytest.mark.parametrize("case", POTENTIAL_CASES.values(), ids=POTENTIAL_CASES.keys())
-def test_plans_are_their_potentials_and_reward(case):
+def test_plans_are_their_potentials_and_reward(case, monkeypatch):
     # log pi = phi + S + psi holds for every plan, which the recorded
     # entropy and the next warm start both rely on
-    reward, beta, params, init = case()
+    reward, beta, epsilon, init, overrides = case()
+    K, alpha, L = reward
+    if init is None:
+        init = uniform_plan(K.shape[1], L.shape[1])
+    for name, value in overrides.items():
+        monkeypatch.setattr(transport, name, value)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the capped solve's report
-        plan = sinkhorn_solve(reward, beta=beta, params=params, init=init)
-    K, alpha, L = reward
-    S = (1.0 - beta) / params.epsilon * cost_matrix(alpha, K, L)
+        plan = sinkhorn_solve(reward, beta, epsilon, init)
+    S = (1.0 - beta) / epsilon * cost_matrix(alpha, K, L)
     gibbs = np.exp(plan.row_potential[:, None] + S + plan.col_potential[None, :])
     # relative to 1e-12 wherever pi is a normal float (the capped plan has
     # subnormal entries, which carry fewer significant bits)
