@@ -17,10 +17,13 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import sys
 import time
+from collections.abc import Iterator
 from contextlib import contextmanager, redirect_stderr
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +46,171 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Matrix text: the bytes of np.savetxt(..., fmt="%.17e", delimiter=","),
+# formatted a block of rows at a time with numpy instead of one CPython
+# float format per entry.
+#
+# An entry x with decimal exponent k prints the 18 digits of
+# N = round(|x| * 10**(17 - k)), 10**17 <= N < 10**18, rounded half to
+# even as CPython does.  The fast path takes 10**-99 <= |x| < 10**100
+# (two exponent digits) and zeros; a row holding any other entry, or an
+# entry it cannot certify, is formatted by CPython exactly as savetxt
+# formats it.
+
+#: entries formatted per block: bounds the writer's working memory
+#: (about 220 bytes an entry at its peak) whatever the matrix size.
+_BLOCK_ENTRIES = 1 << 12
+_K_MIN, _K_MAX = -99, 99
+#: the Dekker splitter 2**27 + 1: a*_SPLIT separates a double's high
+#: and low 26-bit halves, whose pairwise products are exact.
+_SPLIT = 134217729.0
+
+
+def _ceil_pow10(k: int) -> float:
+    """The smallest double >= 10**k."""
+    exact = Fraction(10) ** k
+    nearest = float(exact)
+    return nearest if nearest >= exact else math.nextafter(nearest, math.inf)
+
+
+def _scale(k: int):
+    """10**(17 - k) as a double-double hi + lo, and hi's Dekker halves."""
+    exact = Fraction(10) ** (17 - k)
+    hi = float(exact)
+    lo = float(exact - Fraction(hi))
+    c = _SPLIT * hi
+    hi_h = c - (c - hi)
+    return hi, lo, hi_h, hi - hi_h
+
+
+def _table(texts) -> np.ndarray:
+    """Four-character ASCII texts, one uint32 each, in native byte order."""
+    return np.frombuffer("".join(texts).encode(), dtype=np.uint32)
+
+
+#: entry k - _K_MIN: the smallest double >= 10**k, for k in [-99, 100].
+_CEIL10 = np.array([_ceil_pow10(k) for k in range(_K_MIN, _K_MAX + 2)])
+#: entry k - _K_MIN of each: the four doubles of _scale(k).
+_HI, _LO, _HI_H, _HI_L = np.array([_scale(k) for k in range(_K_MIN, _K_MAX + 1)]).T.copy()
+#: An error bound on N.  With u = 2**-53 and s = 17 - k: hi + lo =
+#: 10**s * (1 + d), |d| <= u**2; |lo| <= u*hi; v = |x| * 10**s < 10**18
+#: < 2**60.  Dekker's product gives |x|*hi = p1 + p2 exactly, |p2| <= 2**6,
+#: and the computed N + f = p1 + fl(p2 + fl(|x|*lo)) is off from v by at
+#: most v*u**2 (d) + v*u**2 (|x|*lo rounded) + u*(2**6 + 2**7 + 1) (the
+#: sum rounded) < 2**-46 + 2**-46 + 2**-45 = 2**-44.  A fraction f that
+#: far from .5 rounds the same way as v's; this bound leaves a 16-fold
+#: margin.
+_TIE_BOUND = 2.0**-40
+#: entry 100*negative + N // 10**16: the sign (NUL, not written, for
+#: none), the first digit, the point and the second digit.
+_HEADS = _table(f"{sign}{i // 10}.{i % 10}" for sign in "\0-" for i in range(100))
+#: "0000".."9999", built from digits: 10000 Python strings would raise
+#: every command's peak RSS by about 0.6 MB.
+_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_QUADS = np.stack(np.meshgrid(*[_DIGITS] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
+_EXPONENTS = _table(f"e{k:+03d}" for k in range(_K_MIN, _K_MAX + 1))
+
+
+def _digits(x: np.ndarray):
+    """The flat entries ``x`` (zeros or 10**-99 <= |x| < 10**100) as
+    %.17e fields.
+
+    Returns (chars, negative, certain).  Row i of the (len(x), 28) uint8
+    chars holds the sign or NUL in column 0, the field's other 23
+    characters in columns 1-23, a comma in column 24 and padding after
+    it.  certain is False where the fast path cannot vouch for N.
+    """
+    ax = np.abs(x)
+    zero = ax == 0.0
+    ax[zero] = 1.0
+    k = np.clip(np.floor(np.log10(ax)), _K_MIN, _K_MAX).astype(np.int64)
+    # log10 may be one off next to a power of ten; the table is exact
+    k -= ax < _CEIL10[k - _K_MIN]
+    k += ax >= _CEIL10[k + 1 - _K_MIN]
+    row = k - _K_MIN
+    p1 = ax * _HI[row]
+    c = _SPLIT * ax
+    ax_h = c - (c - ax)
+    ax_l = ax - ax_h
+    hi_h, hi_l = _HI_H[row], _HI_L[row]
+    p2 = ((ax_h * hi_h - p1) + ax_h * hi_l + ax_l * hi_h) + ax_l * hi_l
+    r = p2 + ax * _LO[row]
+    whole = np.floor(r)
+    frac = r - whole
+    certain = np.abs(frac - 0.5) > _TIE_BOUND
+    # p1 >= 2**56 is a whole number, so the int conversion is exact
+    n = p1.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    # a certain N < 10**18: no double in the fast range rounds up to the
+    # next power of ten (tested); the clamp keeps uncertain entries' lookups
+    # in range
+    np.minimum(n, 10**18 - 1, out=n)
+    n[zero] = 0
+    k[zero] = 0
+    negative = np.signbit(x)
+
+    head = n // 10**16
+    rest = n - head * 10**16
+    upper = rest // 10**8
+    lower = rest - upper * 10**8
+    words = np.empty((x.size, 7), dtype=np.uint32)
+    words[:, 0] = _HEADS[head + 100 * negative]
+    words[:, 1] = _QUADS[upper // 10**4]
+    words[:, 2] = _QUADS[upper % 10**4]
+    words[:, 3] = _QUADS[lower // 10**4]
+    words[:, 4] = _QUADS[lower % 10**4]
+    words[:, 5] = _EXPONENTS[k - _K_MIN]
+    chars = words.view(np.uint8)
+    chars[:, 24] = ord(",")
+    return chars, negative, certain
+
+
+def _matrix_rows(block: np.ndarray, row_format: str) -> bytes:
+    """The savetxt text of the rows of ``block``, which has columns."""
+    ax = np.abs(block)
+    eligible = ((ax >= _CEIL10[0]) & (ax < _CEIL10[-1]) | (ax == 0.0)).all(axis=1)
+    cols = block.shape[1]
+    chars, negative, certain = _digits(block[eligible].ravel())
+    chars.reshape(-1, cols, 28)[:, -1, 24] = ord("\n")
+    if negative.any():
+        keep = np.zeros(chars.shape, dtype=bool)
+        keep[:, 0] = negative
+        keep[:, 1:25] = True
+        text = chars[keep].tobytes()
+    else:
+        text = chars[:, 1:25].tobytes()
+    sure = certain.reshape(-1, cols).all(axis=1)
+    if eligible.all() and sure.all():
+        return text
+    # a row for CPython: cut the fast text into its rows
+    ends = np.cumsum(24 * cols + negative.reshape(-1, cols).sum(axis=1)).tolist()
+    fast = iter(zip([0] + ends, ends, sure.tolist()))
+    pieces = []
+    for row, ok in zip(block, eligible.tolist()):
+        if ok:
+            start, end, ok = next(fast)
+        pieces.append(text[start:end] if ok else (row_format % tuple(row.tolist())).encode())
+    return b"".join(pieces)
+
+
+def _matrix_chunks(matrix) -> Iterator[bytes]:
+    """The bytes np.savetxt(path, matrix, fmt="%.17e", delimiter=",")
+    writes, a block of rows at a time."""
+    a = np.asarray(matrix, dtype=np.float64)
+    if a.ndim == 1:
+        a = a[:, None]
+    if a.ndim != 2:
+        raise ValueError(f"Expected 1D or 2D array, got {a.ndim}D array instead")
+    rows, cols = a.shape
+    if cols == 0:
+        yield b"\n" * rows
+        return
+    row_format = ",".join(["%.17e"] * cols) + "\n"
+    step = max(1, _BLOCK_ENTRIES // cols)
+    for start in range(0, rows, step):
+        yield _matrix_rows(a[start : start + step], row_format)
 
 
 class RunRecorder:
@@ -72,14 +240,17 @@ class RunRecorder:
         """Write ``content`` to ``name`` in the run directory and record its digest.
 
         A string is written as is; anything else is a matrix, written as
-        a comma-separated table at full double precision.
+        comma-separated ``%.17e`` values, one row per line, byte for byte
+        what ``numpy.savetxt(path, content, fmt="%.17e", delimiter=",")``
+        writes.  The digest covers the bytes as written.
         """
-        path = self.out_dir / name
-        if isinstance(content, str):
-            path.write_text(content)
-        else:
-            np.savetxt(path, np.asarray(content), delimiter=",", fmt="%.17e")
-        self.outputs[name] = {"sha256": _sha256(path), "deterministic": deterministic}
+        chunks = [content.encode()] if isinstance(content, str) else _matrix_chunks(content)
+        digest = hashlib.sha256()
+        with open(self.out_dir / name, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+                digest.update(chunk)
+        self.outputs[name] = {"sha256": digest.hexdigest(), "deterministic": deterministic}
 
     def write_manifest(self) -> None:
         manifest = {

@@ -1,5 +1,6 @@
 """Shared fixtures and helpers for the test suite."""
 
+import io
 import sys
 from pathlib import Path
 
@@ -26,6 +27,13 @@ def make_dataset(seed=0, n=8, n_x=15, n_y=12, d_x=2, d_y=1, linked=False):
     unpaired_x = rng.standard_normal((n_x, d_x))
     unpaired_y = rng.standard_normal((n_y, d_y))
     return SampleSet(paired_x, paired_y, unpaired_x, unpaired_y)
+
+
+def savetxt_bytes(matrix) -> bytes:
+    """The bytes numpy.savetxt writes for ``matrix`` in the CLI's matrix format."""
+    buffer = io.BytesIO()
+    np.savetxt(buffer, matrix, fmt="%.17e", delimiter=",")
+    return buffer.getvalue()
 
 
 def assert_valid_plan(plan, n_x, n_y, tol=1e-6):

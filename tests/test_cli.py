@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import semismi
+from conftest import savetxt_bytes
 from semismi.cli import _build_parser, main
 
 
@@ -145,6 +146,10 @@ def test_estimate_saves_feasible_plan(tmp_path):
     assert plan.shape == (14, 9)
     np.testing.assert_allclose(plan.sum(axis=1), 1 / 14, atol=1e-6)
     np.testing.assert_allclose(plan.sum(axis=0), 1 / 9, atol=1e-6)
+    # the same fit in-process: plan.csv is np.savetxt's text of its plan
+    data = semismi.generate(semismi.SyntheticSpec("random", 6, 14, 9, seed=0))
+    config = semismi.EstimatorConfig(n_basis=8, lam=0.01, beta=0.5, seed=0)
+    assert (out / "plan.csv").read_bytes() == savetxt_bytes(semismi.fit(data, config).plan.pi)
 
 
 def test_estimate_from_files_with_pair_index(tmp_path):
@@ -543,6 +548,7 @@ def test_generate_round_trips_exactly(tmp_path):
     ):
         loaded = np.loadtxt(out / name, delimiter=",", ndmin=2)
         np.testing.assert_array_equal(loaded, block)
+        assert (out / name).read_bytes() == savetxt_bytes(block)
     assert _timing_keys(out) == {"generate_seconds", "write_seconds"}
 
 
