@@ -31,7 +31,7 @@ import numpy as np
 from .data import KINDS, SyntheticSpec, generate, load_table
 from .estimator import EstimatorConfig, SampleSet, fit, smi_estimate
 from .matching import GridSpec, grid_sample_set, grid_summarize, plan_to_assignment, topk_accuracy
-from .model_selection import CvGrid, cross_validate
+from .model_selection import MIN_PAIRS, CvGrid, cross_validate
 
 __all__ = ["main"]
 
@@ -552,9 +552,9 @@ def cmd_summarize(args, recorder: RunRecorder) -> int:
         grid = GridSpec(positions, anchors)
     with recorder.phase("cv_seconds"):
         data = grid_sample_set(items, grid)[0]
-        # CV holds out half of the anchors, so it needs a few of them, and
+        # CV holds out half of the anchors, so it needs MIN_PAIRS of them, and
         # with no item or no position free there is nothing to fit
-        tunable = len(grid.anchors) >= 4 and data.n_x > 0 and data.n_y > 0
+        tunable = len(grid.anchors) >= MIN_PAIRS and data.n_x > 0 and data.n_y > 0
         config, report = _tune(args, recorder, data if tunable else None)
     with recorder.phase("fit_seconds"):
         placements, result = grid_summarize(items, grid, config)

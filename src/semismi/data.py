@@ -56,6 +56,8 @@ class SyntheticSpec:
             raise ValueError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
         if self.n < 0 or self.n_x < 0 or self.n_y < 0:
             raise ValueError("sample counts must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _top_component(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,8 +4,11 @@ Few paired samples fix the scale of the dependence; large unpaired
 pools supply the geometry.  Each outer iteration solves the ridge
 system for the ratio weights at the current plan, then rebalances the
 plan against the reward matrix those weights induce.  Both half-steps
-are exact minimizations of the same objective, so its value can only
-go down — the recorded trace makes that checkable.
+minimize the same objective, so its recorded trace is non-increasing
+while every Sinkhorn solve meets ``MARGINAL_TOL``.  A solve that hits
+its sweep cap returns a plan that is not its sub-problem's minimizer,
+and the trace can then rise; when that solve is the last, the fit
+reports ``converged=False``.
 """
 
 from __future__ import annotations
@@ -136,6 +139,8 @@ class EstimatorConfig:
             raise ValueError(f"lam must be non-negative and finite, got {self.lam}")
         if not 0.0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(eq=False)

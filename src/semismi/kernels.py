@@ -105,7 +105,9 @@ class BasisSet:
         return self.x_basis.shape[0]
 
 
-def sample_basis(pool_x, pool_y, b: int, seed: int = 0) -> BasisSet:
+def sample_basis(
+    pool_x, pool_y, b: int, seed: int = 0, sides: tuple = ("x side", "y side")
+) -> BasisSet:
     """Draw b basis centres per side, uniformly without replacement.
 
     The two sides are sampled independently from their pools.  If b
@@ -113,7 +115,9 @@ def sample_basis(pool_x, pool_y, b: int, seed: int = 0) -> BasisSet:
     basis lists stay aligned.  Each side's bandwidth is the median
     pairwise distance of its full pool, so the kernel value at the
     median distance is e^{-1/2}; narrower widths leave visible ripple
-    in the fitted ratio when the true ratio is nearly flat.
+    in the fitted ratio when the true ratio is nearly flat.  When a
+    pool has no bandwidth, the error names the pool by its entry of
+    ``sides`` and gives its sample count.
     Deterministic for a fixed seed.
     """
     px = as_points(pool_x, "pool_x")
@@ -127,9 +131,15 @@ def sample_basis(pool_x, pool_y, b: int, seed: int = 0) -> BasisSet:
     idx_x = rng.choice(px.shape[0], size=b_eff, replace=False)
     idx_y = rng.choice(py.shape[0], size=b_eff, replace=False)
     root2 = float(np.sqrt(2.0))
-    sigma_x = root2 * median_heuristic(px, seed=seed)
-    sigma_y = root2 * median_heuristic(py, seed=seed)
-    return BasisSet(px[idx_x], py[idx_y], sigma_x, sigma_y)
+    sigmas = []
+    for pool, side in zip((px, py), sides):
+        try:
+            sigmas.append(root2 * median_heuristic(pool, seed=seed))
+        except ValueError as exc:
+            count = pool.shape[0]
+            noun = "sample" if count == 1 else "samples"
+            raise ValueError(f"{side} has {count} {noun}: {exc}") from None
+    return BasisSet(px[idx_x], py[idx_y], *sigmas)
 
 
 def feature_columns(basis: BasisSet, xs, ys) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .estimator import EstimatorConfig, SampleSet, fit
-from .kernels import as_points
+from .kernels import as_points, sample_basis
 from .transport import TransportPlan
 
 __all__ = [
@@ -153,8 +153,10 @@ def grid_sample_set(features, grid: GridSpec) -> tuple[SampleSet, list, list]:
 def grid_summarize(features, grid: GridSpec, config: EstimatorConfig) -> tuple:
     """Assign items to grid positions, keeping anchored items in place.
 
-    The problem is :func:`grid_sample_set`'s.  After fitting, the plan
-    over the free items/positions is rounded with the Hungarian method.
+    The problem is :func:`grid_sample_set`'s; a pool without a kernel
+    bandwidth is named as the items or the grid positions.  After
+    fitting, the plan over the free items/positions is rounded with the
+    Hungarian method.
     Returns (placements, result): (item_index, position_index) pairs
     sorted by position, without the surplus items when there are more
     items than positions, and the fit's ``FitResult`` (None when no
@@ -165,7 +167,11 @@ def grid_summarize(features, grid: GridSpec, config: EstimatorConfig) -> tuple:
     result = None
     if free_items and free_spots:
         beta = config.beta if grid.anchors else 0.0
-        result = fit(data, replace(config, beta=beta))
+        basis = sample_basis(
+            data.pooled_x, data.pooled_y, config.n_basis, config.seed,
+            sides=("x side (items)", "y side (grid positions)"),
+        )
+        result = fit(data, replace(config, beta=beta), basis=basis)
         assignment = plan_to_assignment(result.plan)
         placements.extend(
             (free_items[i], free_spots[j]) for i, j in assignment.pairs

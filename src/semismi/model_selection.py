@@ -1,7 +1,8 @@
 """Hyperparameter selection by a single hold-out split.
 
 The ridge weight and the paired/unpaired mixing weight are the two
-knobs the estimator is sensitive to.  Each grid point refits on the
+knobs the estimator is sensitive to.  ``cross_validate`` scans the
+fixed grid ``LAMBDAS`` x ``BETAS``: each grid point refits on the
 training half of the paired samples (keeping every unpaired sample)
 and is scored by the hold-out quadratic risk of the fitted ratio, which
 is minimized by the true density ratio.
@@ -19,25 +20,25 @@ from .kernels import as_points, feature_columns, sample_basis
 
 __all__ = ["CvGrid", "CvReport", "holdout_error", "cross_validate", "select_best"]
 
+#: Ridge weights cross_validate scans.
+LAMBDAS = (0.1, 0.01, 0.001, 0.0001)
+#: Paired/unpaired mixing weights cross_validate scans for each ridge weight.
+BETAS = (0.2, 0.4, 0.6, 0.8, 1.0)
 #: Share of the paired samples cross_validate holds out for scoring.
 HOLDOUT_FRACTION = 0.5
+#: Fewest paired samples cross_validate accepts: two held out, two to train.
+MIN_PAIRS = 4
 
 
 @dataclass(frozen=True)
 class CvGrid:
-    """Search grid and split seed for cross_validate."""
+    """Split seed for cross_validate; the grid is ``LAMBDAS`` x ``BETAS``."""
 
-    lambdas: tuple = (0.1, 0.01, 0.001, 0.0001)
-    betas: tuple = (0.2, 0.4, 0.6, 0.8, 1.0)
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.lambdas) == 0 or len(self.betas) == 0:
-            raise ValueError("parameter grids must be non-empty")
-        if any(not 0.0 <= l < np.inf for l in self.lambdas):
-            raise ValueError(f"lambdas must be non-negative and finite, got {self.lambdas}")
-        if any(not 0.0 <= b <= 1.0 for b in self.betas):
-            raise ValueError("betas must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -75,17 +76,19 @@ def select_best(scores: dict) -> tuple[float, float]:
 
 
 def cross_validate(data: SampleSet, config: EstimatorConfig, grid: CvGrid) -> CvReport:
-    """Score every (lambda, beta) on one seeded hold-out split.
+    """Score every (lambda, beta) of ``LAMBDAS`` x ``BETAS`` on one
+    seeded hold-out split.
 
     The paired samples are shuffled once and split by
     ``HOLDOUT_FRACTION``; all unpaired samples stay in every
     training set.  The kernel basis and bandwidths are sampled once
     from the full pools before the loop, so scores differ only through
-    (lambda, beta).
+    (lambda, beta).  The grid is read at each call, lambda in the outer
+    loop, so ``scores`` keeps that order.
     """
     n = data.n
-    if n < 4:
-        raise ValueError("insufficient paired samples for CV (need >= 4)")
+    if n < MIN_PAIRS:
+        raise ValueError(f"insufficient paired samples for CV (need >= {MIN_PAIRS})")
     rng = np.random.default_rng(grid.seed)
     perm = rng.permutation(n)
     n_te = int(round(n * HOLDOUT_FRACTION))
@@ -103,8 +106,8 @@ def cross_validate(data: SampleSet, config: EstimatorConfig, grid: CvGrid) -> Cv
     test_y = data.paired_y[test_idx]
 
     scores = {}
-    for lam in grid.lambdas:
-        for beta in grid.betas:
+    for lam in LAMBDAS:
+        for beta in BETAS:
             result = fit(train, replace(config, lam=lam, beta=beta), basis=basis)
             scores[(lam, beta)] = holdout_error(result.model, test_x, test_y)
     best_lambda, best_beta = select_best(scores)

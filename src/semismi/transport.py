@@ -235,7 +235,10 @@ def sinkhorn_solve(reward, beta: float, epsilon: float, init: TransportPlan) -> 
         K_scaled_T = (K * (scale * alpha)[:, None]).T
         np.matmul(K_scaled_T, L, out=M)
     if not np.isfinite(M).all():
-        raise ValueError("cost matrix has non-finite entries")
+        raise ValueError(
+            f"scaled reward (1 - beta) C / epsilon has non-finite entries "
+            f"(beta={beta!r}, epsilon={epsilon!r})"
+        )
 
     a = 1.0 / n_x
     b = 1.0 / n_y

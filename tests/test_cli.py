@@ -7,8 +7,10 @@ are exercised exactly as a shell user would see them.
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -66,12 +68,20 @@ SUBCOMMAND_FLAGS = {
 }
 
 
+def _flags() -> dict:
+    """Each subcommand's option strings, without help."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: {flag for action in parser._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for command, parser in sub.choices.items()
+    }
+
+
 @pytest.mark.parametrize("command", SUBCOMMAND_FLAGS)
 def test_subcommand_flags_are_pinned(command):
     # a new flag is a new promise: adding or retiring one changes this table
-    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {flag for action in sub.choices[command]._actions for flag in action.option_strings}
-    assert flags - {"-h", "--help"} == SUBCOMMAND_FLAGS[command]
+    assert _flags()[command] == SUBCOMMAND_FLAGS[command]
 
 
 @pytest.mark.parametrize("flag", ["--lambda", "--beta"])
@@ -88,6 +98,30 @@ def test_a_lone_lambda_or_beta_exits_2(tmp_path, capsys, command, flag):
     assert main(argv) == 2
     assert "error: --lambda and --beta must be given together" in capsys.readouterr().err
     assert not (out / "result.txt").exists()
+
+
+def test_readme_cli_section_names_every_long_option():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text[text.index("## CLI"):text.index("## Tests")]
+    named = set(re.findall(r"--[a-z][\w-]*", section))
+    missing = set().union(*_flags().values()) - named
+    assert not missing, f"README's CLI section does not document {sorted(missing)}"
+
+
+def test_negative_seed_is_rejected_naming_the_seed(tmp_path, capsys):
+    from semismi import CvGrid, EstimatorConfig, SyntheticSpec
+
+    for make in (
+        lambda: EstimatorConfig(seed=-1),
+        lambda: SyntheticSpec("linear", 10, 20, 20, seed=-1),
+        lambda: CvGrid(seed=-1),
+    ):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            make()
+    argv = ["estimate", "--out", str(tmp_path / "o"), "--synthetic", "linear",
+            "--n", "10", "--nx", "20", "--ny", "20", "--seed", "-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
 
 # ----------------------------------------------------------------- estimate
@@ -209,6 +243,26 @@ def test_estimate_rejects_non_finite_weights(tmp_path, capsys, flag, value):
     assert main(argv) == 2
     field = {"--lambda": "lam", "--epsilon": "epsilon"}[flag]
     assert f"error: {field} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nx, ny, side", [("1", "5", "x"), ("5", "1", "y")])
+def test_estimate_names_the_side_with_too_few_samples(tmp_path, capsys, nx, ny, side):
+    argv = ["estimate", "--out", str(tmp_path / "o"), "--synthetic", "linear",
+            "--n", "0", "--nx", nx, "--ny", ny, "--lambda", "1e-3", "--beta", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {side} side has 1 sample: insufficient samples")
+
+
+def test_estimate_names_the_scaled_reward_when_epsilon_is_too_small(tmp_path, capsys):
+    argv = ["estimate", "--out", str(tmp_path / "o"), "--synthetic", "linear",
+            "--n", "10", "--nx", "30", "--ny", "30", "--lambda", "1e-3", "--beta", "0.5",
+            "--epsilon", "1e-20"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scaled reward (1 - beta) C / epsilon has non-finite entries")
+    assert "beta=0.5" in err and "epsilon=1e-20" in err
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
@@ -515,6 +569,15 @@ def test_summarize_with_nothing_free_skips_cv(tmp_path, n_items, grid, placed, u
     assert not (out / "cv.csv").exists()
     lines = (out / "placements.csv").read_text().splitlines()
     assert lines[1:] == [f"{i},{i}" for i in range(4)]
+
+
+def test_summarize_names_the_grid_positions_when_too_few(tmp_path, capsys):
+    items = _write_table(tmp_path / "items.csv", np.random.default_rng(5).standard_normal((5, 2)))
+    argv = ["summarize", "--out", str(tmp_path / "o"), "--items", items, "--grid", "1x1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: y side (grid positions) has 1 sample: insufficient samples"
+    )
 
 
 def test_summarize_grid_argument_errors(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 import semismi
-from semismi import CvGrid, RatioModel
+from semismi import RatioModel
 from semismi.density_ratio import (
     JITTER_SCALE,
     SOLVE_RTOL,
@@ -20,6 +20,7 @@ from semismi.density_ratio import (
     solve_alpha,
 )
 from semismi.kernels import feature_columns, sample_basis
+from semismi.model_selection import LAMBDAS
 from semismi.transport import uniform_plan
 
 from conftest import make_dataset
@@ -162,7 +163,7 @@ def test_ridge_system_rejects_non_finite_H():
 
 def test_ridge_system_matches_dense_solve_on_gaussian_features():
     # the b = 200 system a default fit builds, at every lambda of the
-    # default CV grid; H is singular to rounding, so at lam = 1e-4
+    # CV grid; H is singular to rounding, so at lam = 1e-4
     # H + lam I has condition ~3e5
     data, _, K_all, L_all = _features(seed=4, b=200, n=100, n_x=300, n_y=300)
     H = quadratic_term(K_all, L_all)
@@ -171,7 +172,7 @@ def test_ridge_system_matches_dense_solve_on_gaussian_features():
         K_all[:, :n], L_all[:, :n], K_all[:, n:], L_all[:, n:],
         uniform_plan(data.n_x, data.n_y).pi, 0.5,
     )
-    for lam in CvGrid().lambdas:
+    for lam in LAMBDAS:
         expected = np.linalg.solve(H + lam * np.eye(200), h)
         got = RidgeSystem(H, lam).solve(h)
         assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)

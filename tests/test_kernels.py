@@ -154,6 +154,24 @@ def test_sample_basis_points_come_from_pools():
         assert any(np.array_equal(row, p) for p in pool_y)
 
 
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize(
+    "pool, count, cause",
+    [
+        ([[1.0]], "1 sample", "insufficient samples"),
+        ([[2.0], [2.0]], "2 samples", "degenerate bandwidth"),
+    ],
+    ids=["one-sample", "coincident"],
+)
+def test_sample_basis_names_the_side_without_a_bandwidth(side, pool, count, cause):
+    good = [[0.0], [1.0], [3.0]]
+    pools = (pool, good) if side == "x" else (good, pool)
+    with pytest.raises(ValueError, match=f"^{side} side has {count}: {cause}"):
+        sample_basis(*pools, 2)
+    with pytest.raises(ValueError, match=f"^{side} pool has {count}: {cause}"):
+        sample_basis(*pools, 2, sides=("x pool", "y pool"))
+
+
 def test_sample_basis_deterministic():
     rng = np.random.default_rng(3)
     pool_x = rng.standard_normal((60, 2))

@@ -3,29 +3,23 @@
 import numpy as np
 import pytest
 
-from semismi import CvGrid, EstimatorConfig, cross_validate
+from semismi import CvGrid, EstimatorConfig, cross_validate, model_selection
 from semismi.model_selection import holdout_error, select_best
 
 from conftest import make_dataset
 from test_estimator import constant_ratio_setup
 
 
+def _grid(monkeypatch, lambdas, betas):
+    monkeypatch.setattr(model_selection, "LAMBDAS", lambdas)
+    monkeypatch.setattr(model_selection, "BETAS", betas)
+
+
 def test_grid_defaults():
-    grid = CvGrid()
-    assert grid.lambdas == (0.1, 0.01, 0.001, 0.0001)
-    assert grid.betas == (0.2, 0.4, 0.6, 0.8, 1.0)
-
-
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        CvGrid(lambdas=())
-    with pytest.raises(ValueError):
-        CvGrid(betas=(0.5, 1.2))
-    with pytest.raises(ValueError):
-        CvGrid(lambdas=(-0.1,))
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="lambdas"):
-            CvGrid(lambdas=(0.1, bad))
+    assert model_selection.LAMBDAS == (0.1, 0.01, 0.001, 0.0001)
+    assert model_selection.BETAS == (0.2, 0.4, 0.6, 0.8, 1.0)
+    assert model_selection.MIN_PAIRS == 4
+    assert CvGrid().seed == 0
 
 
 def test_holdout_error_constant_ratios():
@@ -75,18 +69,18 @@ def test_select_best_argmin_and_tiebreaks():
     assert select_best(scores) == (0.1, 0.8)
 
 
-def test_cross_validate_single_point_grid():
+def test_cross_validate_single_point_grid(monkeypatch):
     data = make_dataset(seed=0, n=8, n_x=20, n_y=20, d_x=1, d_y=1)
-    grid = CvGrid(lambdas=(0.01,), betas=(0.5,))
-    report = cross_validate(data, EstimatorConfig(n_basis=8), grid)
+    _grid(monkeypatch, (0.01,), (0.5,))
+    report = cross_validate(data, EstimatorConfig(n_basis=8), CvGrid())
     assert (report.best_lambda, report.best_beta) == (0.01, 0.5)
     assert set(report.scores) == {(0.01, 0.5)}
 
 
-def test_cross_validate_full_grid_consistency():
+def test_cross_validate_full_grid_consistency(monkeypatch):
     data = make_dataset(seed=1, n=10, n_x=25, n_y=25, d_x=1, d_y=1, linked=True)
-    grid = CvGrid(lambdas=(0.1, 0.001), betas=(0.4, 1.0), seed=2)
-    report = cross_validate(data, EstimatorConfig(n_basis=8, seed=1), grid)
+    _grid(monkeypatch, (0.1, 0.001), (0.4, 1.0))
+    report = cross_validate(data, EstimatorConfig(n_basis=8, seed=1), CvGrid(seed=2))
     assert len(report.scores) == 4
     # the reported best re-derives from the score table
     assert select_best(report.scores) == (report.best_lambda, report.best_beta)
@@ -101,9 +95,10 @@ def test_cross_validate_requires_four_pairs():
         cross_validate(data, EstimatorConfig(n_basis=4), CvGrid())
 
 
-def test_cross_validate_deterministic():
+def test_cross_validate_deterministic(monkeypatch):
     data = make_dataset(seed=3, n=12, n_x=30, n_y=30, d_x=1, d_y=1)
-    grid = CvGrid(lambdas=(0.1, 0.01), betas=(0.5, 1.0), seed=7)
+    _grid(monkeypatch, (0.1, 0.01), (0.5, 1.0))
+    grid = CvGrid(seed=7)
     cfg = EstimatorConfig(n_basis=8, seed=3)
     r1 = cross_validate(data, cfg, grid)
     r2 = cross_validate(data, cfg, grid)
@@ -111,10 +106,11 @@ def test_cross_validate_deterministic():
     assert (r1.best_lambda, r1.best_beta) == (r2.best_lambda, r2.best_beta)
 
 
-def test_cross_validate_split_depends_on_grid_seed():
+def test_cross_validate_split_depends_on_grid_seed(monkeypatch):
     data = make_dataset(seed=4, n=12, n_x=30, n_y=30, d_x=1, d_y=1, linked=True)
     cfg = EstimatorConfig(n_basis=8, seed=4)
-    r1 = cross_validate(data, cfg, CvGrid(lambdas=(0.01,), betas=(0.5,), seed=0))
-    r2 = cross_validate(data, cfg, CvGrid(lambdas=(0.01,), betas=(0.5,), seed=99))
+    _grid(monkeypatch, (0.01,), (0.5,))
+    r1 = cross_validate(data, cfg, CvGrid(seed=0))
+    r2 = cross_validate(data, cfg, CvGrid(seed=99))
     # different hold-out splits score differently in general
     assert r1.scores != r2.scores

@@ -41,7 +41,7 @@ DOCUMENTED = {
 # Every settable option of a fit or a synthetic dataset; a new one must be added here on purpose.
 OPTIONS = {
     semismi.EstimatorConfig: {"n_basis", "epsilon", "lam", "beta", "max_outer_iters", "seed"},
-    semismi.CvGrid: {"lambdas", "betas", "seed"},
+    semismi.CvGrid: {"seed"},
     semismi.SyntheticSpec: {"kind", "n", "n_x", "n_y", "seed"},
 }
 
