@@ -30,7 +30,14 @@ import numpy as np
 
 from .data import KINDS, SyntheticSpec, generate, load_table
 from .estimator import EstimatorConfig, SampleSet, fit, smi_estimate
-from .matching import GridSpec, grid_sample_set, grid_summarize, plan_to_assignment, topk_accuracy
+from .matching import (
+    GridSpec,
+    grid_sample_set,
+    grid_summarize,
+    naming_grid_sides,
+    plan_to_assignment,
+    topk_accuracy,
+)
 from .model_selection import MIN_PAIRS, CvGrid, cross_validate
 
 __all__ = ["main"]
@@ -407,8 +414,8 @@ def _load_indexed(args, recorder: RunRecorder):
 
 
 def _resolve_data(args, recorder: RunRecorder):
-    if args.synthetic and (args.x or args.y):
-        raise ValueError("choose either --synthetic or --x/--y, not both")
+    if args.synthetic and (args.x or args.y or args.paired):
+        raise ValueError("choose either --synthetic or --x/--y/--paired, not both")
     if args.synthetic:
         data = generate(_synthetic_spec(args))
         return data, list(range(data.n_x)), list(range(data.n_y))
@@ -550,7 +557,7 @@ def cmd_summarize(args, recorder: RunRecorder) -> int:
         items = load_table(args.items)
         anchors = _load_index(args.anchors, "--anchors", recorder)
         grid = GridSpec(positions, anchors)
-    with recorder.phase("cv_seconds"):
+    with recorder.phase("cv_seconds"), naming_grid_sides():
         data = grid_sample_set(items, grid)[0]
         # CV holds out half of the anchors, so it needs MIN_PAIRS of them, and
         # with no item or no position free there is nothing to fit

@@ -18,16 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density_ratio import (
-    RatioModel,
-    RidgeSystem,
-    mixed_linear_term,
-    paired_linear_term,
-    quadratic_term,
-    weighted_feature_sum,
-)
+from .density_ratio import RatioModel, RidgeSystem, paired_linear_term, quadratic_term
 from .kernels import BasisSet, as_points, feature_columns, sample_basis
-from .transport import TransportPlan, plan_entropy, sinkhorn_solve, uniform_plan
+from .transport import TransportPlan, plan_entropy, sinkhorn_solve
 
 __all__ = [
     "SampleSet",
@@ -36,7 +29,6 @@ __all__ = [
     "objective",
     "fit",
     "smi_estimate",
-    "smi_estimate_paired",
 ]
 
 #: ``fit`` stops once a round moves the plan by at most this (Frobenius).
@@ -153,19 +145,19 @@ class FitResult:
     timings: dict = field(default_factory=dict)
 
 
-def objective(H, h, alpha, plan, lam: float, epsilon: float) -> float:
+def objective(H, h, alpha, entropy: float, lam: float, epsilon: float) -> float:
     """Joint objective: ridge quadratic in alpha plus plan entropy.
 
-    J = 1/2 a^T H a - a^T h + epsilon * entropy(plan) + lam/2 ||a||^2.
-
-    Every ``TransportPlan`` records its entropy, so this is O(b^2).
+    J = 1/2 a^T H a - a^T h + epsilon * entropy + lam/2 ||a||^2, where
+    ``entropy`` is the plan's sum_ij pi_ij (log pi_ij - 1); every
+    ``TransportPlan`` records it, so this is O(b^2).
     """
     alpha = np.asarray(alpha, dtype=float).ravel()
     h = np.asarray(h, dtype=float).ravel()
     return float(
         0.5 * (alpha @ (H @ alpha))
         - alpha @ h
-        + epsilon * plan_entropy(plan)
+        + epsilon * entropy
         + 0.5 * lam * (alpha @ alpha)
     )
 
@@ -173,11 +165,13 @@ def objective(H, h, alpha, plan, lam: float, epsilon: float) -> float:
 def fit(data: SampleSet, config: EstimatorConfig, basis: BasisSet | None = None) -> FitResult:
     """Alternate ratio-weight solves with plan rebalancing.
 
-    Starts from the uniform plan, runs at most ``max_outer_iters``
-    rounds of (weights, plan) updates, and stops once the plan moves by
-    at most ``OUTER_TOL`` in Frobenius norm.  ``converged`` also
-    requires the final plan to meet its marginals (``plan.converged``),
-    so a fit whose last Sinkhorn solve hit its sweep cap says so.  The
+    Starts from the independent coupling pi_ij = 1/(n_x n_y), taken in
+    closed form (its potentials, feature mass and entropy), runs at most
+    ``max_outer_iters`` rounds of (weights, plan) updates, and stops once
+    the plan moves by at most ``OUTER_TOL`` in Frobenius norm.
+    ``converged`` also requires the final plan to meet its marginals
+    (``plan.converged``), so a fit whose last Sinkhorn solve hit its
+    sweep cap says so.  The
     objective value is recorded once after the first weight solve
     (index 0) and then after every completed round, so consecutive
     trace entries are directly comparable.
@@ -203,30 +197,36 @@ def fit(data: SampleSet, config: EstimatorConfig, basis: BasisSet | None = None)
     H = quadratic_term(K_all, L_all)
     # H and lam are fixed for the whole fit: decompose once, solve per round.
     ridge = RidgeSystem(H, config.lam)
-    plan = uniform_plan(n_x, n_y)
     setup_s = time.perf_counter() - t0
 
     trace: list[float] = []
     converged = False
     iterations = 0
     t1 = time.perf_counter()
-    # h = paired part + (1 - beta) * the plan's feature mass, the same
-    # bits as mixed_linear_term; each solve returns the mass of its plan.
+    # h = paired part + (1 - beta) * the plan's feature mass.  Each solve
+    # returns the mass of its plan, which gives the bits of
+    # mixed_linear_term.  The first plan is the independent coupling, all
+    # of whose entries equal pi: its potentials, mass and entropy are
+    # closed forms (the mass equal to mixed_linear_term's up to rounding).
     h_paired = paired_linear_term(K_pair, L_pair, config.beta)
-    h = h_paired + (1.0 - config.beta) * weighted_feature_sum(K_unpair, L_unpair, plan.pi)
+    pi = 1.0 / (n_x * n_y)
+    potentials = (np.full(n_x, -np.log(n_x)), np.full(n_y, -np.log(n_y)))
+    mass = K_unpair.sum(axis=1) * L_unpair.sum(axis=1) / (n_x * n_y)
+    entropy = float(-np.log(n_x * n_y) - 1.0)
+    h = h_paired + (1.0 - config.beta) * mass
     for t in range(1, config.max_outer_iters + 1):
         alpha = ridge.solve(h)
         if t == 1:
-            trace.append(objective(H, h, alpha, plan, config.lam, config.epsilon))
+            trace.append(objective(H, h, alpha, entropy, config.lam, config.epsilon))
         # Two n_x x n_y arrays at most: the solve forms the reward from
-        # its factors in the new plan's buffer, and the old plan, whose
-        # buffer takes the difference, is freed once the gap is known.
-        new_plan = sinkhorn_solve((K_unpair, alpha, L_unpair), config.beta, config.epsilon, plan)
-        plan.pi -= new_plan.pi
-        gap = float(np.linalg.norm(plan.pi))
-        plan = new_plan
+        # its factors in the new plan's buffer, and the old plan's buffer
+        # (none for the constant first plan) takes the difference.
+        plan = sinkhorn_solve((K_unpair, alpha, L_unpair), config.beta, config.epsilon, potentials)
+        gap = float(np.linalg.norm(np.subtract(pi, plan.pi, out=None if t == 1 else pi)))
+        pi = plan.pi
+        potentials = (plan.row_potential, plan.col_potential)
         h = h_paired + (1.0 - config.beta) * plan.feature_mass
-        trace.append(objective(H, h, alpha, plan, config.lam, config.epsilon))
+        trace.append(objective(H, h, alpha, plan_entropy(plan), config.lam, config.epsilon))
         iterations = t
         if gap <= OUTER_TOL:
             converged = plan.converged
@@ -266,19 +266,3 @@ def smi_estimate(model: RatioModel, data: SampleSet) -> float:
     # Algebraically (1/2) * mean of (r - 1)^2 >= 0; guard the rounding.
     return max(0.5 * mean_sq - mean_lin + 0.5, 0.0)
 
-
-def smi_estimate_paired(
-    model: RatioModel, plan: TransportPlan, data: SampleSet, beta: float
-) -> float:
-    """Plan-weighted SMI diagnostic: the LSMI plug-in alpha^T h / 2 - 1/2.
-
-    h is the fit's linear term at ``plan`` (see :func:`mixed_linear_term`),
-    so this is beta/(2n) sum_i r(x_i, y_i) + (1-beta)/2 sum_ij pi_ij
-    r(x'_i, y'_j) - 1/2.  Unlike :func:`smi_estimate` this reuses the
-    fitted plan as the joint weights, so it reflects how much dependence
-    the plan itself captured.
-    """
-    n = data.n
-    K_all, L_all = feature_columns(model.basis, data.pooled_x, data.pooled_y)
-    h = mixed_linear_term(K_all[:, :n], L_all[:, :n], K_all[:, n:], L_all[:, n:], plan.pi, beta)
-    return 0.5 * float(model.alpha @ h) - 0.5

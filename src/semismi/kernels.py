@@ -105,9 +105,7 @@ class BasisSet:
         return self.x_basis.shape[0]
 
 
-def sample_basis(
-    pool_x, pool_y, b: int, seed: int = 0, sides: tuple = ("x side", "y side")
-) -> BasisSet:
+def sample_basis(pool_x, pool_y, b: int, seed: int = 0) -> BasisSet:
     """Draw b basis centres per side, uniformly without replacement.
 
     The two sides are sampled independently from their pools.  If b
@@ -116,8 +114,8 @@ def sample_basis(
     pairwise distance of its full pool, so the kernel value at the
     median distance is e^{-1/2}; narrower widths leave visible ripple
     in the fitted ratio when the true ratio is nearly flat.  When a
-    pool has no bandwidth, the error names the pool by its entry of
-    ``sides`` and gives its sample count.
+    pool has no bandwidth, the error names its side ("x side has 12
+    samples: ...") and gives its sample count.
     Deterministic for a fixed seed.
     """
     px = as_points(pool_x, "pool_x")
@@ -132,7 +130,7 @@ def sample_basis(
     idx_y = rng.choice(py.shape[0], size=b_eff, replace=False)
     root2 = float(np.sqrt(2.0))
     sigmas = []
-    for pool, side in zip((px, py), sides):
+    for pool, side in zip((px, py), ("x side", "y side")):
         try:
             sigmas.append(root2 * median_heuristic(pool, seed=seed))
         except ValueError as exc:

@@ -9,13 +9,14 @@ the second variable.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .estimator import EstimatorConfig, SampleSet, fit
-from .kernels import as_points, sample_basis
+from .kernels import as_points
 from .transport import TransportPlan
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "topk_accuracy",
     "normalize_positions",
     "grid_sample_set",
+    "naming_grid_sides",
     "grid_summarize",
 ]
 
@@ -150,11 +152,29 @@ def grid_sample_set(features, grid: GridSpec) -> tuple[SampleSet, list, list]:
     return data, free_items, free_spots
 
 
+@contextmanager
+def naming_grid_sides():
+    """Re-raise a side's bandwidth error naming the items or the grid positions.
+
+    Fits and cross-validation on :func:`grid_sample_set`'s data raise it
+    from :func:`~semismi.kernels.sample_basis`, which names only the
+    side ("x side has 12 samples: ...").
+    """
+    try:
+        yield
+    except ValueError as exc:
+        side, has, rest = str(exc).partition(" has ")
+        names = {"x side": "x side (items)", "y side": "y side (grid positions)"}
+        if has and side in names:
+            raise ValueError(f"{names[side]}{has}{rest}") from None
+        raise
+
+
 def grid_summarize(features, grid: GridSpec, config: EstimatorConfig) -> tuple:
     """Assign items to grid positions, keeping anchored items in place.
 
     The problem is :func:`grid_sample_set`'s; a pool without a kernel
-    bandwidth is named as the items or the grid positions.  After
+    bandwidth is named as in :func:`naming_grid_sides`.  After
     fitting, the plan over the free items/positions is rounded with the
     Hungarian method.
     Returns (placements, result): (item_index, position_index) pairs
@@ -167,11 +187,8 @@ def grid_summarize(features, grid: GridSpec, config: EstimatorConfig) -> tuple:
     result = None
     if free_items and free_spots:
         beta = config.beta if grid.anchors else 0.0
-        basis = sample_basis(
-            data.pooled_x, data.pooled_y, config.n_basis, config.seed,
-            sides=("x side (items)", "y side (grid positions)"),
-        )
-        result = fit(data, replace(config, beta=beta), basis=basis)
+        with naming_grid_sides():
+            result = fit(data, replace(config, beta=beta))
         assignment = plan_to_assignment(result.plan)
         placements.extend(
             (free_items[i], free_spots[j]) for i, j in assignment.pairs

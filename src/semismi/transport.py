@@ -48,7 +48,6 @@ from .density_ratio import ratio_cross, weighted_feature_sum
 
 __all__ = [
     "TransportPlan",
-    "uniform_plan",
     "cost_matrix",
     "sinkhorn_solve",
     "plan_entropy",
@@ -95,45 +94,32 @@ RELAX_FALLBACK = 10.0
 
 @dataclass(eq=False)
 class TransportPlan:
-    """A coupling of the unpaired pools with uniform marginals.
+    """A coupling of the unpaired pools with uniform marginals, as a
+    :func:`sinkhorn_solve` returns it.
 
     ``row_potential``/``col_potential`` are the scaled dual potentials
-    (f/epsilon, g/epsilon), always present; the next solve on a nearby
-    reward starts from them.  ``entropy`` is sum_ij pi_ij
-    (log pi_ij - 1) as recorded by the constructor that built ``pi``.
-    ``feature_mass`` is sum_ij pi_ij K[:, i] * L[:, j] for the reward
-    factors K, L the plan was solved on (see
-    :func:`~semismi.density_ratio.weighted_feature_sum`), as every plan
-    :func:`sinkhorn_solve` returns carries it; ``fit`` builds its linear
-    term from it.  None means no solve computed it.
+    (f/epsilon, g/epsilon); the next solve on a nearby reward starts
+    from them.  ``entropy`` is sum_ij pi_ij (log pi_ij - 1).
+    ``converged``, ``marginal_error`` and ``iterations`` report the
+    solve.  ``feature_mass`` is sum_ij pi_ij K[:, i] * L[:, j] for the
+    reward factors K, L the plan was solved on (see
+    :func:`~semismi.density_ratio.weighted_feature_sum`); ``fit`` builds
+    its linear term from it.
     """
 
     pi: np.ndarray
     row_potential: np.ndarray
     col_potential: np.ndarray
     entropy: float
-    converged: bool = True
-    marginal_error: float = 0.0
-    iterations: int = 0
-    feature_mass: np.ndarray | None = None
+    converged: bool
+    marginal_error: float
+    iterations: int
+    feature_mass: np.ndarray
 
     def __post_init__(self):
         self.pi = np.asarray(self.pi, dtype=float)
         if self.pi.ndim != 2:
             raise ValueError(f"plan must be a matrix, got shape {self.pi.shape}")
-
-
-def uniform_plan(n_x: int, n_y: int) -> TransportPlan:
-    """The independent coupling: every entry 1/(n_x * n_y)."""
-    if n_x < 1 or n_y < 1:
-        raise ValueError("plan dimensions must be >= 1")
-    pi = np.full((n_x, n_y), 1.0 / (n_x * n_y))
-    return TransportPlan(
-        pi,
-        row_potential=np.full(n_x, -np.log(n_x)),
-        col_potential=np.full(n_y, -np.log(n_y)),
-        entropy=float(-np.log(n_x * n_y) - 1.0),
-    )
 
 
 def cost_matrix(alpha, K_unpair, L_unpair) -> np.ndarray:
@@ -181,7 +167,7 @@ def _positive_finite(sums: np.ndarray) -> bool:
     return bool(0.0 < _min(sums) and _max(sums) < np.inf)
 
 
-def sinkhorn_solve(reward, beta: float, epsilon: float, init: TransportPlan) -> TransportPlan:
+def sinkhorn_solve(reward, beta: float, epsilon: float, potentials) -> TransportPlan:
     """Balance exp((1 - beta) C / epsilon) to uniform marginals.
 
     ``reward`` is the factor triple (K, alpha, L) of C = (K * alpha)^T L,
@@ -202,8 +188,9 @@ def sinkhorn_solve(reward, beta: float, epsilon: float, init: TransportPlan) -> 
     constants are read at each call.  ``epsilon`` is checked by
     ``EstimatorConfig``, not here.
 
-    The dual potentials start from ``init``, the ``TransportPlan`` of a
-    previous solve on a nearby reward or ``uniform_plan(n_x, n_y)``.
+    The dual potentials start from ``potentials``, a (row, column)
+    pair: a previous solve's on a nearby reward, or the independent
+    coupling's (-log n_x, -log n_y), where ``fit`` starts.
     The kernel is formed in the plan's buffer by one GEMM of the
     factors plus the potentials; absorptions and the log-domain pass,
     which runs only when that kernel overflows or has an empty row or
@@ -252,10 +239,9 @@ def sinkhorn_solve(reward, beta: float, epsilon: float, init: TransportPlan) -> 
         if q is not None:
             np.add(M, q[None, :], out=M)
 
-    phi = np.array(init.row_potential, dtype=float)
-    psi = np.array(init.col_potential, dtype=float)
+    phi, psi = (np.array(p, dtype=float) for p in potentials)
     if phi.shape != (n_x,) or psi.shape != (n_y,):
-        raise ValueError("warm-start potentials do not match the cost shape")
+        raise ValueError("starting potentials do not match the cost shape")
 
     def rebuild():
         # One log-space sweep followed by kernel materialization; safe

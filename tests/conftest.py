@@ -53,6 +53,17 @@ def entrywise_entropy(pi):
     return float(np.sum(xlogy(pi, pi)) - np.sum(pi))
 
 
+def independent_coupling(n_x, n_y):
+    """The constant plan every entry of which is 1/(n_x n_y)."""
+    return np.full((n_x, n_y), 1.0 / (n_x * n_y))
+
+
+def uniform_potentials(n_x, n_y):
+    """The independent coupling's (row, column) potentials, where every
+    fit's first Sinkhorn solve starts."""
+    return np.full(n_x, -np.log(n_x)), np.full(n_y, -np.log(n_y))
+
+
 def dense(C):
     """A reward matrix as the factors (I, 1, C), which give scale * C to the bit."""
     return np.eye(len(C)), np.ones(len(C)), C

@@ -30,9 +30,9 @@ from semismi import transport
 from semismi.cli import main
 from semismi.density_ratio import mixed_linear_term, quadratic_term, solve_alpha
 from semismi.kernels import feature_columns, sample_basis
-from semismi.transport import sinkhorn_solve, uniform_plan
+from semismi.transport import sinkhorn_solve
 
-from conftest import assert_valid_plan, dense
+from conftest import assert_valid_plan, dense, uniform_potentials
 from criterion10_slopes import ARGV as CRITERION_10_ARGV, FLOOR as CRITERION_10_FLOOR
 
 PLAN_TOL = 1e-6
@@ -164,7 +164,7 @@ def test_criterion_03_subsolvers_match_oracles(monkeypatch):
     for _ in range(8):
         C = rng.standard_normal((3, 3))
         beta = float(rng.uniform(0.0, 0.9))
-        got = sinkhorn_solve(dense(C), beta, 0.3, uniform_plan(3, 3)).pi
+        got = sinkhorn_solve(dense(C), beta, 0.3, uniform_potentials(3, 3)).pi
         ref = _transport_oracle(C, beta, 0.3)
         worst_plan = max(worst_plan, float(np.max(np.abs(got - ref))))
 

@@ -219,6 +219,17 @@ def test_estimate_input_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["estimate", "match"])
+def test_paired_with_synthetic_exits_2(tmp_path, capsys, command):
+    # generated data brings its own pairs: a --paired file would be
+    # neither read nor recorded among the manifest's inputs
+    pairs = _write_table(tmp_path / "pairs.csv", [[0, 0]])
+    argv = [command, "--synthetic", "linear", "--n", "10", "--nx", "30", "--ny", "30",
+            "--lambda", "1e-3", "--beta", "0.5", "--paired", pairs, "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert "--paired" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "rows",
     [[[0, 0], [0, 1]], [[1.7, 1.2]]],
@@ -577,6 +588,20 @@ def test_summarize_names_the_grid_positions_when_too_few(tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(
         "error: y side (grid positions) has 1 sample: insufficient samples"
+    )
+
+
+@pytest.mark.parametrize("n_anchors", [3, 4], ids=["fit-first", "cv-first"])
+def test_summarize_names_the_items_without_a_bandwidth(tmp_path, capsys, n_anchors):
+    # identical items have no median distance; with four anchors CV
+    # samples the basis before the fit does, and must name them alike
+    items = _write_table(tmp_path / "items.csv", np.zeros((12, 2)))
+    anchors = _write_table(tmp_path / "anchors.csv", [[i, i] for i in range(n_anchors)])
+    argv = ["summarize", "--out", str(tmp_path / "o"), "--items", items, "--grid", "3x4",
+            "--anchors", anchors, "--b", "4"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: x side (items) has 12 samples: degenerate bandwidth"
     )
 
 

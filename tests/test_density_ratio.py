@@ -21,9 +21,8 @@ from semismi.density_ratio import (
 )
 from semismi.kernels import feature_columns, sample_basis
 from semismi.model_selection import LAMBDAS
-from semismi.transport import uniform_plan
 
-from conftest import make_dataset
+from conftest import independent_coupling, make_dataset
 
 
 def _features(seed=0, b=4, n=5, n_x=7, n_y=6):
@@ -170,7 +169,7 @@ def test_ridge_system_matches_dense_solve_on_gaussian_features():
     n = data.n
     h = mixed_linear_term(
         K_all[:, :n], L_all[:, :n], K_all[:, n:], L_all[:, n:],
-        uniform_plan(data.n_x, data.n_y).pi, 0.5,
+        independent_coupling(data.n_x, data.n_y), 0.5,
     )
     for lam in LAMBDAS:
         expected = np.linalg.solve(H + lam * np.eye(200), h)

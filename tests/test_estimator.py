@@ -5,13 +5,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from semismi import EstimatorConfig, SampleSet, SyntheticSpec, fit, generate, smi_estimate, transport
+from semismi import (
+    EstimatorConfig,
+    SampleSet,
+    SyntheticSpec,
+    estimator,
+    fit,
+    generate,
+    smi_estimate,
+    transport,
+)
 from semismi.density_ratio import RidgeSystem, mixed_linear_term, quadratic_term, solve_alpha
-from semismi.estimator import objective, smi_estimate_paired
+from semismi.estimator import objective
 from semismi.kernels import BasisSet, feature_columns, sample_basis
-from semismi.transport import uniform_plan
 
-from conftest import assert_valid_plan, entrywise_entropy, make_dataset
+from conftest import assert_valid_plan, entrywise_entropy, independent_coupling, make_dataset
 
 
 def constant_ratio_setup(value, n=3, n_x=4, n_y=5):
@@ -110,10 +118,10 @@ def test_config_validation():
 
 def test_objective_entropy_only():
     # alpha = 0 and a uniform 2x2 plan leave only the entropy term
-    plan = uniform_plan(2, 2)
+    entropy = entrywise_entropy(independent_coupling(2, 2))
     H = np.eye(1)
     h = np.zeros(1)
-    val = objective(H, h, np.zeros(1), plan, lam=0.0, epsilon=0.3)
+    val = objective(H, h, np.zeros(1), entropy, lam=0.0, epsilon=0.3)
     assert val == pytest.approx(0.3 * (-np.log(4.0) - 1.0), abs=1e-12)
     assert val == pytest.approx(-0.715888, abs=1e-6)
 
@@ -126,8 +134,7 @@ def test_objective_at_quadratic_optimum():
     H = A @ A.T / b + 0.1 * np.eye(b)
     h = rng.standard_normal(b)
     alpha = solve_alpha(H, h, 0.0)
-    plan = uniform_plan(3, 3)
-    val = objective(H, h, alpha, plan, lam=0.0, epsilon=0.0)
+    val = objective(H, h, alpha, -np.log(9.0) - 1.0, lam=0.0, epsilon=0.0)
     assert val == pytest.approx(-0.5 * float(alpha @ h), abs=1e-10)
 
 
@@ -140,11 +147,6 @@ def test_objective_matches_term_oracle(small_data, small_basis):
     n = small_data.n
     plan_mat = rng.random((small_data.n_x, small_data.n_y))
     plan_mat /= plan_mat.sum()
-    from semismi import TransportPlan
-
-    plan = TransportPlan(
-        plan_mat, np.zeros(small_data.n_x), np.zeros(small_data.n_y), entrywise_entropy(plan_mat)
-    )
     beta, lam, eps = 0.4, 0.01, 0.3
     h = mixed_linear_term(
         K_all[:, :n], L_all[:, :n], K_all[:, n:], L_all[:, n:], plan_mat, beta
@@ -156,7 +158,7 @@ def test_objective_matches_term_oracle(small_data, small_basis):
         + eps * np.sum(plan_mat * (np.log(plan_mat) - 1.0))
         + 0.5 * lam * alpha @ alpha
     )
-    got = objective(H, h, alpha, plan, lam=lam, epsilon=eps)
+    got = objective(H, h, alpha, entrywise_entropy(plan_mat), lam=lam, epsilon=eps)
     assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -245,6 +247,49 @@ def test_fit_holds_at_most_two_plan_sized_arrays():
     assert peak < 2.6 * 1000 * 1000 * 8
 
 
+def test_fit_forms_no_plan_sized_array_before_its_first_solve(monkeypatch):
+    # the first solve starts from the independent coupling in closed
+    # form, so when it is called the fit holds only features and H
+    # (a dense uniform plan put 8 MB here)
+    data = generate(SyntheticSpec(kind="linear", n=20, n_x=1000, n_y=1000, seed=1))
+
+    class FirstSolve(Exception):
+        pass
+
+    held = []
+
+    def first_solve(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        raise FirstSolve
+
+    monkeypatch.setattr(estimator, "sinkhorn_solve", first_solve)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstSolve):
+            fit(data, EstimatorConfig(seed=1))
+    finally:
+        tracemalloc.stop()
+    assert held[0] < 1000 * 1000 * 8
+
+
+def test_fit_starts_from_the_independent_coupling(small_data):
+    # the first round takes the constant plan's feature mass and entropy
+    # in closed form; they must agree with mixed_linear_term and the
+    # entry-wise entropy of that plan
+    config = EstimatorConfig(n_basis=6, beta=0.4, seed=2, max_outer_iters=1)
+    basis = sample_basis(small_data.pooled_x, small_data.pooled_y, 6, seed=2)
+    res = fit(small_data, config, basis=basis)
+    n, n_x, n_y = small_data.n, small_data.n_x, small_data.n_y
+    K, L = feature_columns(basis, small_data.pooled_x, small_data.pooled_y)
+    H = quadratic_term(K, L)
+    pi = independent_coupling(n_x, n_y)
+    h = mixed_linear_term(K[:, :n], L[:, :n], K[:, n:], L[:, n:], pi, config.beta)
+    alpha = RidgeSystem(H, config.lam).solve(h)
+    np.testing.assert_allclose(res.model.alpha, alpha, rtol=1e-12)
+    expected = objective(H, h, alpha, entrywise_entropy(pi), config.lam, config.epsilon)
+    assert res.objective_trace[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_fit_linear_term_is_mixed_linear_term_of_its_plan(small_data):
     # fit builds h from the plan's feature mass; it must be the same bits
     # as mixed_linear_term on that plan, so alpha solves that h
@@ -257,7 +302,7 @@ def test_fit_linear_term_is_mixed_linear_term_of_its_plan(small_data):
     # the last alpha was solved against the plan before the final solve;
     # the recorded objective after it uses the final plan's h
     h = mixed_linear_term(K[:, :n], L[:, :n], K[:, n:], L[:, n:], res.plan.pi, config.beta)
-    expected = objective(H, h, res.model.alpha, res.plan, config.lam, config.epsilon)
+    expected = objective(H, h, res.model.alpha, res.plan.entropy, config.lam, config.epsilon)
     assert res.objective_trace[-1] == expected
 
 
@@ -370,7 +415,7 @@ def test_fit_singular_ridge_system_takes_jitter_path(small_data):
     n = small_data.n
     h = mixed_linear_term(
         K_all[:, :n], L_all[:, :n], K_all[:, n:], L_all[:, n:],
-        uniform_plan(small_data.n_x, small_data.n_y).pi, 1.0,
+        independent_coupling(small_data.n_x, small_data.n_y), 1.0,
     )
     assert np.all(np.isfinite(res.model.alpha))
     np.testing.assert_allclose(res.model.alpha, solve_alpha(H, h, 0.0), rtol=1e-12)
@@ -418,59 +463,6 @@ def test_smi_never_negative(small_data, small_basis):
     for _ in range(5):
         model = RatioModel(small_basis, 0.01 * rng.standard_normal(small_basis.b))
         assert smi_estimate(model, small_data) >= 0.0
-
-
-def test_smi_paired_constant_unit_ratio():
-    model, data = constant_ratio_setup(1.0)
-    plan = uniform_plan(data.n_x, data.n_y)
-    for beta in (0.0, 0.3, 1.0):
-        assert smi_estimate_paired(model, plan, data, beta) == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-
-def test_smi_paired_beta_one_formula():
-    model, data = constant_ratio_setup(2.0)
-    plan = uniform_plan(data.n_x, data.n_y)
-    # (beta / 2n) sum r - 1/2 with r = 2 everywhere gives 1 - 1/2
-    assert smi_estimate_paired(model, plan, data, 1.0) == pytest.approx(0.5)
-
-
-def test_smi_paired_matches_double_loop(small_data, small_basis):
-    rng = np.random.default_rng(5)
-    from semismi import RatioModel, TransportPlan
-
-    model = RatioModel(small_basis, rng.standard_normal(small_basis.b))
-    plan_mat = rng.random((small_data.n_x, small_data.n_y))
-    plan_mat /= plan_mat.sum()
-    plan = TransportPlan(
-        plan_mat, np.zeros(small_data.n_x), np.zeros(small_data.n_y), entrywise_entropy(plan_mat)
-    )
-    beta = 0.6
-    r_pairs = model.pairs(small_data.paired_x, small_data.paired_y)
-    R = model.cross(small_data.unpaired_x, small_data.unpaired_y)
-    expected = (
-        beta / (2.0 * small_data.n) * r_pairs.sum()
-        + 0.5 * (1.0 - beta) * np.sum(plan_mat * R)
-        - 0.5
-    )
-    got = smi_estimate_paired(model, plan, small_data, beta)
-    assert got == pytest.approx(expected, abs=1e-12)
-
-
-def test_smi_paired_requires_pairs_for_positive_beta(small_basis):
-    data = SampleSet(
-        np.zeros((0, 2)),
-        np.zeros((0, 1)),
-        np.random.default_rng(0).standard_normal((5, 2)),
-        np.random.default_rng(1).standard_normal((4, 1)),
-    )
-    from semismi import RatioModel
-
-    model = RatioModel(small_basis, np.zeros(small_basis.b))
-    plan = uniform_plan(5, 4)
-    with pytest.raises(ValueError, match="paired"):
-        smi_estimate_paired(model, plan, data, 0.5)
 
 
 def test_fit_rectangular_pools():

@@ -168,8 +168,6 @@ def test_sample_basis_names_the_side_without_a_bandwidth(side, pool, count, caus
     pools = (pool, good) if side == "x" else (good, pool)
     with pytest.raises(ValueError, match=f"^{side} side has {count}: {cause}"):
         sample_basis(*pools, 2)
-    with pytest.raises(ValueError, match=f"^{side} pool has {count}: {cause}"):
-        sample_basis(*pools, 2, sides=("x pool", "y pool"))
 
 
 def test_sample_basis_deterministic():

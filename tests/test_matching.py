@@ -7,7 +7,8 @@ import pytest
 
 from semismi import EstimatorConfig, GridSpec, grid_summarize, plan_to_assignment, topk_accuracy
 from semismi.matching import Assignment, normalize_positions
-from semismi.transport import uniform_plan
+
+from conftest import independent_coupling
 
 
 # ---------------------------------------------------------------- Assignment
@@ -81,10 +82,10 @@ def test_topk_on_concentrated_plan():
 def test_topk_uniform_plan_credits_leftmost_columns():
     # every row is tied, so column j ranks j-th; identity truth only
     # hits where the true column index is below k
-    plan = uniform_plan(100, 100)
+    pi = independent_coupling(100, 100)
     truth = [(i, i) for i in range(100)]
-    assert topk_accuracy(plan, truth, k=1) == pytest.approx(0.01)
-    assert topk_accuracy(plan, truth, k=2) == pytest.approx(0.02)
+    assert topk_accuracy(pi, truth, k=1) == pytest.approx(0.01)
+    assert topk_accuracy(pi, truth, k=2) == pytest.approx(0.02)
 
 
 def test_topk_rank_counts_ties_by_column_order():

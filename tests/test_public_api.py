@@ -47,11 +47,6 @@ OPTIONS = {
 
 SUBMODULES = ("data", "density_ratio", "estimator", "kernels", "matching", "model_selection", "transport")
 
-# Exported names that no product code calls, each kept for a stated reason.
-KEPT_WITHOUT_CALLER = {
-    "smi_estimate_paired": "the LSMI plug-in read-out alpha^T h / 2 - 1/2 of a fitted plan",
-}
-
 
 def _library_code_names() -> set:
     """Identifiers in the code block and code spans of README's Library section."""
@@ -110,12 +105,12 @@ def _literal(tree, name: str):
 
 
 def test_every_export_has_a_product_caller():
-    # a public name only tests call is a second path to retire, or needs a reason here
+    # a public name only tests call is a second path to retire
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     used = set().union(*(_code_identifiers(tree) for tree in trees.values()))
     # perfbench/spans.py is read, not imported: its TARGETS are the names it wraps
     targets = _literal(ast.parse((ROOT / "perfbench" / "spans.py").read_text()), "TARGETS")
-    allowed = _library_code_names() | {fn for _, fn in targets} | set(KEPT_WITHOUT_CALLER)
+    allowed = _library_code_names() | {fn for _, fn in targets}
     orphans = []
     for module, tree in trees.items():
         for name in _literal(tree, "__all__") or []:

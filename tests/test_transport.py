@@ -1,29 +1,32 @@
 """Tests for the entropic transport-plan solver."""
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from semismi import transport
 from semismi.density_ratio import mixed_linear_term, weighted_feature_sum
-from semismi.transport import cost_matrix, plan_entropy, sinkhorn_solve, uniform_plan
+from semismi.transport import TransportPlan, cost_matrix, plan_entropy, sinkhorn_solve
 
-from conftest import assert_valid_plan, dense, entrywise_entropy
+from conftest import (
+    assert_valid_plan,
+    dense,
+    entrywise_entropy,
+    independent_coupling,
+    uniform_potentials,
+)
 
 
 def _cold(reward, beta, epsilon=0.3):
-    """A solve from the uniform plan, where every fit starts."""
+    """A solve from the independent coupling's potentials, where every fit starts."""
     K, _, L = reward
-    return sinkhorn_solve(reward, beta, epsilon, uniform_plan(K.shape[1], L.shape[1]))
+    return sinkhorn_solve(reward, beta, epsilon, uniform_potentials(K.shape[1], L.shape[1]))
 
 
-def test_uniform_plan_basics():
-    plan = uniform_plan(4, 6)
-    assert_valid_plan(plan, 4, 6, tol=1e-15)
-    np.testing.assert_allclose(plan.pi, 1.0 / 24.0)
-    assert plan.converged
+def _potentials(plan, shift=0.0):
+    """A plan's (row, column) potentials, both shifted by ``shift``: a warm start."""
+    return plan.row_potential + shift, plan.col_potential + shift
 
 
 def test_zero_cost_gives_uniform_plan():
@@ -107,7 +110,7 @@ def test_warm_start_reaches_same_plan():
     rng = np.random.default_rng(5)
     cost = rng.standard_normal((10, 8))
     cold = _cold(dense(cost), 0.3)
-    warm = sinkhorn_solve(dense(cost), 0.3, 0.3, cold)
+    warm = sinkhorn_solve(dense(cost), 0.3, 0.3, _potentials(cold))
     np.testing.assert_allclose(warm.pi, cold.pi, atol=1e-10)
     # warm start from the solution should converge almost immediately
     assert warm.iterations <= cold.iterations
@@ -122,12 +125,9 @@ def test_unusable_warm_start_falls_back_to_log_domain(shift):
     rng = np.random.default_rng(5)
     cost = rng.standard_normal((10, 8))
     cold = _cold(dense(cost), 0.3)
-    init = replace(
-        cold, row_potential=cold.row_potential + shift, col_potential=cold.col_potential + shift
-    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        warm = sinkhorn_solve(dense(cost), 0.3, 0.3, init)
+        warm = sinkhorn_solve(dense(cost), 0.3, 0.3, _potentials(cold, shift))
     assert warm.converged
     assert_valid_plan(warm, 10, 8, tol=1e-10)
     np.testing.assert_allclose(warm.pi, cold.pi, atol=1e-10)
@@ -161,7 +161,7 @@ def test_rejects_bad_inputs():
 
 
 def test_plan_entropy_uniform():
-    plan = uniform_plan(2, 2)
+    plan = _cold(dense(np.zeros((2, 2))), 0.5)
     expected = np.log(0.25) - 1.0
     assert plan_entropy(plan) == pytest.approx(expected, abs=1e-12)
 
@@ -183,10 +183,7 @@ def _cap_hit_plan():
 
 
 def _fallback_init(reward, beta, shift=800.0):
-    cold = _cold(reward, beta)
-    return replace(
-        cold, row_potential=cold.row_potential + shift, col_potential=cold.col_potential + shift
-    )
+    return _potentials(_cold(reward, beta), shift)
 
 
 FALLBACK_COST = np.random.default_rng(5).standard_normal((10, 8))
@@ -203,13 +200,22 @@ def _factors(seed, b=5, n_x=30, n_y=20, scale=3.0):
     return rng.random((b, n_x)), scale * rng.standard_normal(b), rng.random((b, n_y))
 
 
+def _independent_coupling_plan(n_x, n_y):
+    """The constant plan ``fit`` starts from, with the closed-form entropy
+    -log(n_x n_y) - 1 that ``fit`` records for it."""
+    return TransportPlan(
+        independent_coupling(n_x, n_y), *uniform_potentials(n_x, n_y),
+        float(-np.log(n_x * n_y) - 1.0), True, 0.0, 0, np.zeros(0),
+    )
+
+
 DUAL_ENTROPY_PLANS = {
     "converged": lambda: _cold(dense(np.random.default_rng(1).standard_normal((25, 13))), 0.3),
     "cap-hit": _cap_hit_plan,
     "beta-one": lambda: _cold(dense(np.random.default_rng(0).standard_normal((6, 4))), 1.0),
     "single-row": lambda: _cold(dense(np.array([[3.0, -1.0, 0.5]])), 0.2),
     "warm-start-fallback": _fallback_plan,
-    "uniform": lambda: uniform_plan(4, 6),
+    "uniform": lambda: _independent_coupling_plan(4, 6),
     "factored": lambda: _cold(_factors(13), 0.2),
 }
 
@@ -238,9 +244,7 @@ def test_scalings_past_threshold_are_absorbed(shift):
     assert np.all(np.abs(np.log(first_row_scalings)) > transport.ABSORB_THRESHOLD)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        warm = sinkhorn_solve(
-            dense(cost), 0.3, 0.3, replace(cold, row_potential=phi, col_potential=psi)
-        )
+        warm = sinkhorn_solve(dense(cost), 0.3, 0.3, (phi, psi))
     assert warm.converged
     assert_valid_plan(warm, 10, 8, tol=1e-10)
     np.testing.assert_allclose(warm.pi, cold.pi, atol=1e-10)
@@ -365,8 +369,9 @@ def _plain_sinkhorn(cost, beta, epsilon, init):
     n_x, n_y = cost.shape
     a, b = 1.0 / n_x, 1.0 / n_y
     M = cost * ((1.0 - beta) / epsilon)
-    M += init.row_potential[:, None]
-    M += init.col_potential[None, :]
+    phi, psi = init
+    M += phi[:, None]
+    M += psi[None, :]
     np.exp(M, out=M)
     u, v = np.ones(n_x), np.ones(n_y)
     for sweep in range(1, transport.MAX_SWEEPS + 1):
@@ -386,7 +391,7 @@ FAST = dict(cost=np.random.default_rng(11).standard_normal((60, 50)), beta=0.5, 
 
 
 def _solve_both(case):
-    init = uniform_plan(*case["cost"].shape)
+    init = uniform_potentials(*case["cost"].shape)
     plan = sinkhorn_solve(dense(case["cost"]), case["beta"], case["epsilon"], init)
     return plan, _plain_sinkhorn(case["cost"], case["beta"], case["epsilon"], init)
 
@@ -453,7 +458,8 @@ def test_relaxed_solve_capped_at_its_convergence_sweep_reports_its_own_marginals
 
 
 # (reward, beta, epsilon, init, transport constants to override) of
-# solves that end every way a solve can; init None is the uniform plan
+# solves that end every way a solve can; init None is the independent
+# coupling's potentials
 POTENTIAL_CASES = {
     "1x12": lambda: (_factors(18, n_x=1, n_y=12), 0.5, 0.3, None, {}),
     "12x1": lambda: (_factors(18, n_x=12, n_y=1), 0.5, 0.3, None, {}),
@@ -479,7 +485,7 @@ def test_plans_are_their_potentials_and_reward(case, monkeypatch):
     reward, beta, epsilon, init, overrides = case()
     K, alpha, L = reward
     if init is None:
-        init = uniform_plan(K.shape[1], L.shape[1])
+        init = uniform_potentials(K.shape[1], L.shape[1])
     for name, value in overrides.items():
         monkeypatch.setattr(transport, name, value)
     with warnings.catch_warnings():
