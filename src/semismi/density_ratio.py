@@ -151,14 +151,16 @@ class RidgeSystem:
     back to the ridge plus a tiny trace-proportional jitter; failing that
     the solve raises, since a larger ``lam`` is then the correct fix.
 
-    numpy decomposes, not scipy: scipy bundles a second OpenBLAS whose
-    thread pool stalls numpy's at every switch.  On 2 cores (numpy 2.4.6
-    with OpenBLAS 0.3.31, scipy 1.17.1 with OpenBLAS 0.3.30, default
-    threads) a 200 x 200 scipy ``cho_factor`` after a numpy product took
-    2.0 ms (median; up to 114 ms) and made the next product 4.8 ms instead
-    of 1.2 ms; numpy's ``eigh`` took 4.4 ms (at most 10 ms).  Six tuned
-    estimates on 500 x 500 pools took 31.6 s with scipy's factor and
-    18.8 s with this one.
+    numpy decomposes, not scipy, so a fit loads only numpy's OpenBLAS
+    (``kernels`` forms its distances with numpy too).  scipy bundles a
+    second OpenBLAS whose thread pool stalls numpy's at every switch.
+    On 2 cores (numpy 2.4.6 with OpenBLAS 0.3.31, scipy 1.17.1 with
+    OpenBLAS 0.3.30, default threads) a 200 x 200 scipy ``cho_factor``
+    after a numpy product took 2.0 ms (median; up to 114 ms) and made
+    the next product 4.8 ms instead of 1.2 ms; numpy's ``eigh`` took
+    4.4 ms (at most 10 ms), and one decomposition serves the jittered
+    ridge too.  Six tuned estimates on 500 x 500 pools took 31.6 s with
+    scipy's factor and 18.8 s with this one.
     """
 
     def __init__(self, H: np.ndarray, lam: float):

@@ -214,15 +214,20 @@ def fit(data: SampleSet, config: EstimatorConfig, basis: BasisSet | None = None)
     mass = K_unpair.sum(axis=1) * L_unpair.sum(axis=1) / (n_x * n_y)
     entropy = float(-np.log(n_x * n_y) - 1.0)
     h = h_paired + (1.0 - config.beta) * mass
+    spare = None
     for t in range(1, config.max_outer_iters + 1):
         alpha = ridge.solve(h)
         if t == 1:
             trace.append(objective(H, h, alpha, entropy, config.lam, config.epsilon))
-        # Two n_x x n_y arrays at most: the solve forms the reward from
+        # Two n_x x n_y buffers per fit: the solve forms the reward from
         # its factors in the new plan's buffer, and the old plan's buffer
-        # (none for the constant first plan) takes the difference.
-        plan = sinkhorn_solve((K_unpair, alpha, L_unpair), config.beta, config.epsilon, potentials)
+        # (none for the constant first plan) takes the difference and is
+        # then the next solve's.
+        plan = sinkhorn_solve(
+            (K_unpair, alpha, L_unpair), config.beta, config.epsilon, potentials, spare
+        )
         gap = float(np.linalg.norm(np.subtract(pi, plan.pi, out=None if t == 1 else pi)))
+        spare = None if t == 1 else pi
         pi = plan.pi
         potentials = (plan.row_potential, plan.col_potential)
         h = h_paired + (1.0 - config.beta) * plan.feature_mass

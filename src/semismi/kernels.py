@@ -4,6 +4,11 @@ A pair (x, y) is scored by b basis functions, each the product of a
 Gaussian bump centred at a sampled x point and one centred at a sampled
 y point.  This module owns bandwidth selection, basis sampling, and the
 kernel feature matrices everything else is built from.
+
+Squared distances are formed with numpy alone, adding (a_k - b_k)^2
+over the coordinates k = 0..d-1 in order, one row block at a time.
+That is the order of scipy's ``cdist``/``pdist`` loop, so the kernels
+and bandwidths carry the same bits as theirs, and a fit loads no scipy.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 __all__ = [
     "BasisSet",
@@ -24,6 +28,10 @@ __all__ = [
 #: Pool size above which median_heuristic subsamples its points.
 MAX_POINTS = 2000
 
+#: Entries per row block of a squared-distance pass; a block and its
+#: scratch (512 KiB each) stay in cache across the d coordinate passes.
+BLOCK_ENTRIES = 1 << 16
+
 
 def as_points(samples, name: str = "samples") -> np.ndarray:
     """Coerce to an (N, d) float array; 1-D input becomes a column."""
@@ -32,6 +40,8 @@ def as_points(samples, name: str = "samples") -> np.ndarray:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2:
         raise ValueError(f"{name} must be 1-D or 2-D, got shape {pts.shape}")
+    if pts.shape[0] and not pts.shape[1]:
+        raise ValueError(f"{name} has no columns: shape {pts.shape}")
     return pts
 
 
@@ -42,6 +52,28 @@ def _check_sigma(sigma: float) -> float:
     return sigma
 
 
+def _squared_distances(a, b) -> np.ndarray:
+    """The (len(a), len(b)) matrix of squared distances, with cdist's bits.
+
+    Each block of about ``BLOCK_ENTRIES`` entries adds (a_k - b_k)^2 over
+    the coordinates k in order, from a contiguous copy of b's transpose.
+    """
+    out = np.empty((a.shape[0], b.shape[0]))
+    step = max(1, BLOCK_ENTRIES // max(b.shape[0], 1))
+    scratch = np.empty((min(step, a.shape[0]), b.shape[0]))
+    bT = np.ascontiguousarray(b.T)
+    for i in range(0, a.shape[0], step):
+        rows = out[i : i + step]
+        tmp = scratch[: rows.shape[0]]
+        np.subtract(a[i : i + step, :1], bT[0], out=rows)
+        np.multiply(rows, rows, out=rows)
+        for k in range(1, a.shape[1]):
+            np.subtract(a[i : i + step, k : k + 1], bT[k], out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            np.add(rows, tmp, out=rows)
+    return out
+
+
 def median_heuristic(samples, seed: int = 0) -> float:
     """Kernel bandwidth: median pairwise Euclidean distance over sqrt(2).
 
@@ -49,6 +81,12 @@ def median_heuristic(samples, seed: int = 0) -> float:
     would bias it toward zero.  Pools with more than ``MAX_POINTS``
     points are reduced to a seeded uniform subsample first, since the
     O(N^2) distance computation dominates otherwise.
+
+    The N(N-1)/2 squared distances fill one buffer, which is partitioned
+    in place; only its middle one or two values are square-rooted and
+    averaged as ``np.median`` does.  Square roots are monotone and
+    correctly rounded, so this equals the median of the distances bit
+    for bit, without a second copy of them.
 
     Raises
     ------
@@ -62,7 +100,20 @@ def median_heuristic(samples, seed: int = 0) -> float:
     if pts.shape[0] > MAX_POINTS:
         rng = np.random.default_rng(seed)
         pts = pts[rng.choice(pts.shape[0], size=MAX_POINTS, replace=False)]
-    med = float(np.median(pdist(pts)))
+    n = pts.shape[0]
+    pairs = np.empty(n * (n - 1) // 2)
+    start = i = 0
+    while i < n - 1:
+        # a block of rows against the points after its first row; row r keeps j > r
+        stop = min(n - 1, i + max(1, BLOCK_ENTRIES // (n - 1 - i)))
+        for r, row in enumerate(_squared_distances(pts[i:stop], pts[i + 1 :])):
+            pairs[start : start + row.size - r] = row[r:]
+            start += row.size - r
+        i = stop
+    half = pairs.size // 2
+    kth = [half - 1, half] if pairs.size % 2 == 0 else [half]
+    pairs.partition(kth)
+    med = float(np.mean(np.sqrt(pairs[kth])))
     if med <= 0.0:
         raise ValueError("degenerate bandwidth: median pairwise distance is zero")
     return med / float(np.sqrt(2.0))
@@ -77,8 +128,10 @@ def gaussian_gram(centers, points, sigma: float) -> np.ndarray:
             f"dimension mismatch: centers have d={c.shape[1]}, points d={p.shape[1]}"
         )
     sigma = _check_sigma(sigma)
-    d2 = cdist(c, p, metric="sqeuclidean")
-    return np.exp(-d2 / (2.0 * sigma * sigma))
+    G = _squared_distances(c, p)
+    np.negative(G, out=G)
+    G /= 2.0 * sigma * sigma
+    return np.exp(G, out=G)
 
 
 @dataclass

@@ -13,7 +13,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .estimator import EstimatorConfig, SampleSet, fit
 from .kernels import as_points
@@ -57,7 +56,11 @@ def plan_to_assignment(plan) -> Assignment:
 
     Solves the maximum-weight bipartite matching with the Hungarian
     method, so the pairs capture the most plan mass any assignment can.
+    scipy loads here, not with the module: only rounding needs it, and
+    loading it takes longer than numpy and the rest of the package do.
     """
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(_plan_matrix(plan), maximize=True)
     return Assignment(list(zip(rows.tolist(), cols.tolist())))
 

@@ -167,7 +167,9 @@ def _positive_finite(sums: np.ndarray) -> bool:
     return bool(0.0 < _min(sums) and _max(sums) < np.inf)
 
 
-def sinkhorn_solve(reward, beta: float, epsilon: float, potentials) -> TransportPlan:
+def sinkhorn_solve(
+    reward, beta: float, epsilon: float, potentials, out: np.ndarray | None = None
+) -> TransportPlan:
     """Balance exp((1 - beta) C / epsilon) to uniform marginals.
 
     ``reward`` is the factor triple (K, alpha, L) of C = (K * alpha)^T L,
@@ -191,6 +193,12 @@ def sinkhorn_solve(reward, beta: float, epsilon: float, potentials) -> Transport
     The dual potentials start from ``potentials``, a (row, column)
     pair: a previous solve's on a nearby reward, or the independent
     coupling's (-log n_x, -log n_y), where ``fit`` starts.
+
+    The plan is formed in ``out``, a C-contiguous float n_x x n_y
+    buffer whose contents are ignored, or in a new array when it is
+    None.  ``fit`` passes the plan of two solves back, so a fit touches
+    two plan-sized buffers instead of a fresh one per solve, which the
+    allocator may return to the system and fault in again each time.
     The kernel is formed in the plan's buffer by one GEMM of the
     factors plus the potentials; absorptions and the log-domain pass,
     which runs only when that kernel overflows or has an empty row or
@@ -216,7 +224,15 @@ def sinkhorn_solve(reward, beta: float, epsilon: float, potentials) -> Transport
     # kernel and finally the plan are formed too.  Non-finite factors,
     # or a product that overflows, leave a non-finite entry in S.
     scale = (1.0 - beta) / epsilon
-    M = np.empty((n_x, n_y))
+    if out is None:
+        M = np.empty((n_x, n_y))
+    elif out.shape != (n_x, n_y) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(
+            f"out must be a C-contiguous float64 array of shape {(n_x, n_y)}, got "
+            f"{out.dtype} {out.shape}"
+        )
+    else:
+        M = out
     M_T = M.T
     with np.errstate(over="ignore", invalid="ignore"):
         K_scaled_T = (K * (scale * alpha)[:, None]).T

@@ -86,6 +86,37 @@ def test_sample_set_rejects_non_finite_entries(name, bad):
         SampleSet(**arrays)
 
 
+@pytest.mark.parametrize("name", ["paired_x", "paired_y", "unpaired_x", "unpaired_y"])
+def test_sample_set_rejects_an_array_without_columns(name):
+    arrays = {
+        "paired_x": np.zeros((3, 2)),
+        "paired_y": np.zeros((3, 1)),
+        "unpaired_x": np.zeros((5, 2)),
+        "unpaired_y": np.zeros((4, 1)),
+    }
+    rows = arrays[name].shape[0]
+    arrays[name] = np.zeros((rows, 0))
+    with pytest.raises(ValueError, match=rf"^{name} has no columns: shape \({rows}, 0\)$"):
+        SampleSet(**arrays)
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_sample_set_rejects_a_side_without_columns(side):
+    # this used to pass and fail only in fit, as "x side has 25 samples:
+    # degenerate bandwidth: median pairwise distance is zero"
+    rng = np.random.default_rng(0)
+    arrays = {
+        "paired_x": rng.standard_normal((5, 2)),
+        "paired_y": rng.standard_normal((5, 1)),
+        "unpaired_x": rng.standard_normal((20, 2)),
+        "unpaired_y": rng.standard_normal((20, 1)),
+    }
+    arrays[f"paired_{side}"] = np.zeros((5, 0))
+    arrays[f"unpaired_{side}"] = np.zeros((20, 0))
+    with pytest.raises(ValueError, match=rf"^paired_{side} has no columns: shape \(5, 0\)$"):
+        SampleSet(**arrays)
+
+
 # ------------------------------------------------------------------- config
 
 
@@ -270,6 +301,25 @@ def test_fit_forms_no_plan_sized_array_before_its_first_solve(monkeypatch):
     finally:
         tracemalloc.stop()
     assert held[0] < 1000 * 1000 * 8
+
+
+def test_fit_solves_in_two_plan_buffers(monkeypatch):
+    # after the first two solves each one reuses the buffer of the plan
+    # two solves back, so a fit holds two plan-sized buffers in all
+    data = generate(SyntheticSpec(kind="linear", n=10, n_x=30, n_y=25, seed=2))
+    buffers = []
+
+    def recording_solve(*args):
+        plan = transport.sinkhorn_solve(*args)
+        buffers.append(plan.pi)
+        return plan
+
+    monkeypatch.setattr(estimator, "sinkhorn_solve", recording_solve)
+    res = fit(data, EstimatorConfig(n_basis=10, seed=2))
+    assert res.iterations_run >= 4
+    assert len({id(pi) for pi in buffers}) == 2
+    assert all(a is b for a, b in zip(buffers, buffers[2:]))
+    assert res.plan.pi is buffers[-1]
 
 
 def test_fit_starts_from_the_independent_coupling(small_data):

@@ -1,15 +1,24 @@
 """Tests for bandwidth selection, basis sampling, and kernel features."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+# scipy is the oracle here only; the package forms distances with numpy
+from scipy.spatial.distance import cdist, pdist
+
 from semismi.kernels import (
+    MAX_POINTS,
     BasisSet,
+    _squared_distances,
     feature_columns,
     gaussian_gram,
     median_heuristic,
     sample_basis,
 )
+
+DIMS = [1, 2, 7, 8, 32, 64]
 
 
 def test_median_heuristic_single_pair():
@@ -77,6 +86,55 @@ def test_median_heuristic_subsamples_large_pools():
         [abs(a - b) for i, a in enumerate(pts[:, 0]) for b in pts[i + 1 :, 0]]
     ) / np.sqrt(2.0)
     assert sub == pytest.approx(full, rel=0.1)
+
+
+def _scipy_median_heuristic(pts, seed=0):
+    pts = np.asarray(pts)
+    if pts.shape[0] > MAX_POINTS:
+        rng = np.random.default_rng(seed)
+        pts = pts[rng.choice(pts.shape[0], size=MAX_POINTS, replace=False)]
+    return float(np.median(pdist(pts))) / float(np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e8], ids=["centred", "offset-1e8"])
+@pytest.mark.parametrize("d", DIMS)
+def test_gaussian_gram_has_cdists_bits(d, offset):
+    # 2100 points span several row blocks; one point repeats a centre
+    rng = np.random.default_rng(d)
+    centers = rng.standard_normal((60, d)) + offset
+    points = rng.standard_normal((2100, d)) + offset
+    points[17] = centers[3]
+    d2 = cdist(centers, points, "sqeuclidean")
+    assert (_squared_distances(centers, points) == d2).all()
+    sigma = 0.9 * np.sqrt(d)
+    assert (gaussian_gram(centers, points, sigma) == np.exp(-d2 / (2.0 * sigma * sigma))).all()
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e8], ids=["centred", "offset-1e8"])
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize(
+    "n", [2, 3, 4, 6, 101, 102, 2500], ids=lambda n: f"n{n}"
+)  # pair counts 1, 3, 6, 15, 5050, 5151; 2500 > MAX_POINTS subsamples to 2000
+def test_median_heuristic_has_pdists_bits(n, d, offset):
+    rng = np.random.default_rng(1000 * d + n)
+    pts = rng.standard_normal((n, d)) + offset
+    if n > 10:
+        pts[n // 2 :: 7] = pts[1]  # duplicates: zero distances
+    assert median_heuristic(pts, seed=5) == _scipy_median_heuristic(pts, seed=5)
+
+
+def test_median_heuristic_holds_one_pair_buffer():
+    # the subsample's 1,999,000 squared distances take 16 MB; pdist plus
+    # np.median's copy of them would take two such buffers
+    pts = np.random.default_rng(0).standard_normal((MAX_POINTS + 1, 1))
+    buffer_bytes = 8 * (MAX_POINTS * (MAX_POINTS - 1) // 2)
+    tracemalloc.start()
+    try:
+        median_heuristic(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * buffer_bytes
 
 
 def _scalar_kernel(x, x2, sigma):

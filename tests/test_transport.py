@@ -496,3 +496,26 @@ def test_plans_are_their_potentials_and_reward(case, monkeypatch):
     # relative to 1e-12 wherever pi is a normal float (the capped plan has
     # subnormal entries, which carry fewer significant bits)
     np.testing.assert_allclose(gibbs, plan.pi, rtol=1e-12, atol=np.finfo(float).tiny)
+
+
+def test_solve_in_a_given_buffer_gives_the_same_plan():
+    rng = np.random.default_rng(12)
+    K, L = rng.random((4, 9)), rng.random((4, 7))
+    reward = (K, rng.standard_normal(4), L)
+    fresh = _cold(reward, 0.3)
+    out = np.full((9, 7), np.nan)
+    plan = sinkhorn_solve(reward, 0.3, 0.3, uniform_potentials(9, 7), out)
+    assert plan.pi is out
+    assert np.array_equal(plan.pi, fresh.pi)
+    assert plan.entropy == fresh.entropy and plan.iterations == fresh.iterations
+
+
+@pytest.mark.parametrize(
+    "out", [np.empty((7, 9)), np.empty((9, 7), dtype=np.float32), np.empty((7, 9)).T],
+    ids=["shape", "dtype", "order"],
+)
+def test_solve_rejects_an_unusable_buffer(out):
+    rng = np.random.default_rng(12)
+    reward = (rng.random((4, 9)), rng.standard_normal(4), rng.random((4, 7)))
+    with pytest.raises(ValueError, match="^out must be a C-contiguous float64 array"):
+        sinkhorn_solve(reward, 0.3, 0.3, uniform_potentials(9, 7), out)
