@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import KINDS, SyntheticSpec, generate, load_table
-from .estimator import EstimatorConfig, SampleSet, fit, smi_estimate
+from .estimator import EstimatorConfig, SampleSet, fit
 from .matching import (
     GridSpec,
     grid_sample_set,
@@ -452,14 +452,13 @@ def _plan_exit_code(plan) -> int:
 def _tune_fit(args, recorder: RunRecorder, data):
     """Tune, fit and score loaded data: the pipeline estimate and match share.
 
-    Returns (config, report, result, smi).
+    Returns (config, report, result).
     """
     with recorder.phase("cv_seconds"):
         config, report = _tune(args, recorder, data)
     with recorder.phase("fit_seconds"):
         result = fit(data, config)
-        smi = smi_estimate(result.model, data)
-    return config, report, result, smi
+    return config, report, result
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +468,11 @@ def _tune_fit(args, recorder: RunRecorder, data):
 def cmd_estimate(args, recorder: RunRecorder) -> int:
     with recorder.phase("load_seconds"):
         data, _, _ = _resolve_data(args, recorder)
-    config, report, result, smi = _tune_fit(args, recorder, data)
+    config, report, result = _tune_fit(args, recorder, data)
     with recorder.phase("write_seconds"):
         record = {
             "command": "estimate",
-            "smi": smi,
+            "smi": result.smi,
             "lambda": config.lam,
             "beta": config.beta,
             "epsilon": config.epsilon,
@@ -511,14 +510,14 @@ def cmd_match(args, recorder: RunRecorder) -> int:
         if args.labels_x:
             lx = _load_labels(args.labels_x, "--labels-x", rows_x, recorder)
             ly = _load_labels(args.labels_y, "--labels-y", rows_y, recorder)
-    config, report, result, smi = _tune_fit(args, recorder, data)
+    config, report, result = _tune_fit(args, recorder, data)
     assignment = plan_to_assignment(result.plan)
     record = {
         "command": "match",
         "lambda": config.lam,
         "beta": config.beta,
         "matched": len(assignment.pairs),
-        "smi": smi,
+        "smi": result.smi,
         "iterations": result.iterations_run,
         "converged": result.converged,
         "plan_feasible": result.plan.converged,

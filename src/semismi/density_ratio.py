@@ -100,10 +100,14 @@ def weighted_feature_sum(K_unpair: np.ndarray, L_unpair: np.ndarray, plan: np.nd
     """Plan-weighted feature mass m = sum_ij plan_ij K[:, i] * L[:, j].
 
     Evaluated without materializing the b x n_x x n_y tensor:
-    m = rowsum((K @ plan) * L).  The unpaired part of h is (1 - beta) m,
-    and alpha^T m = <plan, C> for the reward matrix of alpha.
+    m = rowsum((K @ plan) * L), multiplied in place, so the only
+    temporary is one b x n_y product.  The unpaired part of h is
+    (1 - beta) m, and alpha^T m = <plan, C> for the reward matrix of
+    alpha.
     """
-    return np.sum((K_unpair @ plan) * L_unpair, axis=1)
+    mass = K_unpair @ plan
+    mass *= L_unpair
+    return np.sum(mass, axis=1)
 
 
 def mixed_linear_term(
@@ -181,8 +185,12 @@ class RidgeSystem:
             (ridge, w + ridge) for ridge in (lam, lam + jitter) if (w + ridge > 0.0).all()
         ]
 
-    def solve(self, h: np.ndarray) -> np.ndarray:
-        """alpha = (H + lam I)^{-1} h, retried once with jitter as described above."""
+    def solve(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """alpha = (H + lam I)^{-1} h, retried once with jitter as described above.
+
+        Returns (alpha, H alpha): the residual check forms the product,
+        and the fit's objective and SMI use it again.
+        """
         h = np.asarray(h, dtype=float).ravel()
         if h.shape[0] != self.b:
             raise ValueError(f"h has length {h.shape[0]}, expected {self.b}")
@@ -190,15 +198,16 @@ class RidgeSystem:
             raise ValueError("h has non-finite entries")
         h_norm = float(np.linalg.norm(h))
         if h_norm == 0.0:
-            return np.zeros(self.b)
+            return np.zeros(self.b), np.zeros(self.b)
         tol = SOLVE_RTOL * h_norm
         coef = self._Q.T @ h
         for ridge, shifted in self._shifted:
             alpha = self._Q @ (coef / shifted)
             if not np.isfinite(alpha).all():
                 continue
-            if float(np.linalg.norm(self.H @ alpha + ridge * alpha - h)) <= tol:
-                return alpha
+            H_alpha = self.H @ alpha
+            if float(np.linalg.norm(H_alpha + ridge * alpha - h)) <= tol:
+                return alpha, H_alpha
         raise np.linalg.LinAlgError(
             "ridge system remained singular after jitter; increase lam"
         )
@@ -212,7 +221,7 @@ def solve_alpha(H: np.ndarray, h: np.ndarray, lam: float) -> np.ndarray:
     Callers that solve against many h for one H (the alternating fit)
     should build a :class:`RidgeSystem` once instead.
     """
-    return RidgeSystem(H, lam).solve(h)
+    return RidgeSystem(H, lam).solve(h)[0]
 
 
 def ratio_pairs(alpha: np.ndarray, K: np.ndarray, L: np.ndarray) -> np.ndarray:

@@ -137,25 +137,30 @@ class EstimatorConfig:
 
 @dataclass(eq=False)
 class FitResult:
+    """A fit's model and final plan, its objective trace, and the SMI
+    of its own data, which equals ``smi_estimate(model, data)``."""
+
     model: RatioModel
     plan: TransportPlan
     objective_trace: np.ndarray
     iterations_run: int
     converged: bool
+    smi: float
     timings: dict = field(default_factory=dict)
 
 
-def objective(H, h, alpha, entropy: float, lam: float, epsilon: float) -> float:
+def objective(H_alpha, h, alpha, entropy: float, lam: float, epsilon: float) -> float:
     """Joint objective: ridge quadratic in alpha plus plan entropy.
 
     J = 1/2 a^T H a - a^T h + epsilon * entropy + lam/2 ||a||^2, where
-    ``entropy`` is the plan's sum_ij pi_ij (log pi_ij - 1); every
-    ``TransportPlan`` records it, so this is O(b^2).
+    ``H_alpha`` is the product H a, as :meth:`RidgeSystem.solve` returns
+    it, and ``entropy`` is the plan's sum_ij pi_ij (log pi_ij - 1); every
+    ``TransportPlan`` records it, so this is O(b).
     """
     alpha = np.asarray(alpha, dtype=float).ravel()
     h = np.asarray(h, dtype=float).ravel()
     return float(
-        0.5 * (alpha @ (H @ alpha))
+        0.5 * (alpha @ H_alpha)
         - alpha @ h
         + epsilon * entropy
         + 0.5 * lam * (alpha @ alpha)
@@ -216,22 +221,23 @@ def fit(data: SampleSet, config: EstimatorConfig, basis: BasisSet | None = None)
     h = h_paired + (1.0 - config.beta) * mass
     spare = None
     for t in range(1, config.max_outer_iters + 1):
-        alpha = ridge.solve(h)
+        alpha, H_alpha = ridge.solve(h)
         if t == 1:
-            trace.append(objective(H, h, alpha, entropy, config.lam, config.epsilon))
+            trace.append(objective(H_alpha, h, alpha, entropy, config.lam, config.epsilon))
         # Two n_x x n_y buffers per fit: the solve forms the reward from
         # its factors in the new plan's buffer, and the old plan's buffer
-        # (none for the constant first plan) takes the difference and is
-        # then the next solve's.
+        # takes the difference and is then the next solve's.  The
+        # constant first plan has no buffer, so its difference is the
+        # second one.
         plan = sinkhorn_solve(
             (K_unpair, alpha, L_unpair), config.beta, config.epsilon, potentials, spare
         )
-        gap = float(np.linalg.norm(np.subtract(pi, plan.pi, out=None if t == 1 else pi)))
-        spare = None if t == 1 else pi
+        spare = np.subtract(pi, plan.pi, out=None if t == 1 else pi)
+        gap = float(np.linalg.norm(spare))
         pi = plan.pi
         potentials = (plan.row_potential, plan.col_potential)
         h = h_paired + (1.0 - config.beta) * plan.feature_mass
-        trace.append(objective(H, h, alpha, plan_entropy(plan), config.lam, config.epsilon))
+        trace.append(objective(H_alpha, h, alpha, plan_entropy(plan), config.lam, config.epsilon))
         iterations = t
         if gap <= OUTER_TOL:
             converged = plan.converged
@@ -239,12 +245,23 @@ def fit(data: SampleSet, config: EstimatorConfig, basis: BasisSet | None = None)
     iter_s = time.perf_counter() - t1
 
     model = RatioModel(basis, alpha)
+    smi = _smi(model.alpha, H_alpha, K_all, L_all)
     timings = {
         "setup_seconds": setup_s,
         "iteration_seconds": iter_s,
         "per_iteration_seconds": iter_s / iterations,
     }
-    return FitResult(model, plan, np.asarray(trace), iterations, converged, timings)
+    return FitResult(model, plan, np.asarray(trace), iterations, converged, smi, timings)
+
+
+def _smi(alpha, H_alpha, K_all, L_all) -> float:
+    """The plug-in SMI of :func:`smi_estimate` from the pooled features."""
+    mean_sq = float(alpha @ H_alpha)
+    mean_lin = float(alpha @ (K_all.sum(axis=1) * L_all.sum(axis=1))) / (
+        K_all.shape[1] * L_all.shape[1]
+    )
+    # Algebraically (1/2) * mean of (r - 1)^2 >= 0; guard the rounding.
+    return max(0.5 * mean_sq - mean_lin + 0.5, 0.0)
 
 
 def smi_estimate(model: RatioModel, data: SampleSet) -> float:
@@ -257,17 +274,10 @@ def smi_estimate(model: RatioModel, data: SampleSet) -> float:
         sum_ij r_ij^2 = N_x N_y a^T H a,   sum_ij r_ij = a^T (u * w)
 
     with u, w the per-basis column sums — no N_x x N_y matrix is ever
-    formed, so ground-truth-sized baselines stay cheap.
+    formed, so ground-truth-sized baselines stay cheap.  A fit's own
+    data need no second pass: ``FitResult.smi`` holds its value.
     """
-    pooled_x = data.pooled_x
-    pooled_y = data.pooled_y
-    K_all, L_all = feature_columns(model.basis, pooled_x, pooled_y)
-    N_x = K_all.shape[1]
-    N_y = L_all.shape[1]
+    K_all, L_all = feature_columns(model.basis, data.pooled_x, data.pooled_y)
     H = quadratic_term(K_all, L_all)
-    alpha = model.alpha
-    mean_sq = float(alpha @ (H @ alpha))
-    mean_lin = float(alpha @ (K_all.sum(axis=1) * L_all.sum(axis=1))) / (N_x * N_y)
-    # Algebraically (1/2) * mean of (r - 1)^2 >= 0; guard the rounding.
-    return max(0.5 * mean_sq - mean_lin + 0.5, 0.0)
+    return _smi(model.alpha, H @ model.alpha, K_all, L_all)
 

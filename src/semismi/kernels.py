@@ -9,10 +9,13 @@ Squared distances are formed with numpy alone, adding (a_k - b_k)^2
 over the coordinates k = 0..d-1 in order, one row block at a time.
 That is the order of scipy's ``cdist``/``pdist`` loop, so the kernels
 and bandwidths carry the same bits as theirs, and a fit loads no scipy.
+The bandwidth's median is selected from those blocks as they stream
+past, so no array of all pairwise distances is ever held.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +34,11 @@ MAX_POINTS = 2000
 #: Entries per row block of a squared-distance pass; a block and its
 #: scratch (512 KiB each) stay in cache across the d coordinate passes.
 BLOCK_ENTRIES = 1 << 16
+
+#: Half-width of median_heuristic's first bracket, in standard errors of
+#: a sampled rank.  A bracket misses with probability about 6e-5 per
+#: side; a miss costs one more pass with a bracket 8 times as wide.
+BRACKET_SIGMAS = 4.0
 
 
 def as_points(samples, name: str = "samples") -> np.ndarray:
@@ -52,26 +60,129 @@ def _check_sigma(sigma: float) -> float:
     return sigma
 
 
+def _add_squares(out, a, bT, scratch) -> None:
+    """out[r, c] = sum_k (a[r, k] - bT[k, c])^2, added over k in order.
+
+    That is scipy's order, so each entry has cdist's bits.  ``scratch``
+    is a flat buffer of at least out.size entries; one coordinate needs
+    none.
+    """
+    np.subtract(a[:, :1], bT[0], out=out)
+    np.multiply(out, out, out=out)
+    if a.shape[1] > 1:
+        tmp = scratch[: out.size].reshape(out.shape)
+    for k in range(1, a.shape[1]):
+        np.subtract(a[:, k : k + 1], bT[k], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(out, tmp, out=out)
+
+
+def _scratch(entries: int, d: int) -> np.ndarray:
+    """The flat scratch of :func:`_add_squares` for d coordinates."""
+    return np.empty(entries if d > 1 else 0)
+
+
 def _squared_distances(a, b) -> np.ndarray:
     """The (len(a), len(b)) matrix of squared distances, with cdist's bits.
 
-    Each block of about ``BLOCK_ENTRIES`` entries adds (a_k - b_k)^2 over
-    the coordinates k in order, from a contiguous copy of b's transpose.
+    It is filled in row blocks of about ``BLOCK_ENTRIES`` entries, from
+    a contiguous copy of b's transpose.
     """
     out = np.empty((a.shape[0], b.shape[0]))
     step = max(1, BLOCK_ENTRIES // max(b.shape[0], 1))
-    scratch = np.empty((min(step, a.shape[0]), b.shape[0]))
+    scratch = _scratch(min(step, a.shape[0]) * b.shape[0], a.shape[1])
     bT = np.ascontiguousarray(b.T)
     for i in range(0, a.shape[0], step):
-        rows = out[i : i + step]
-        tmp = scratch[: rows.shape[0]]
-        np.subtract(a[i : i + step, :1], bT[0], out=rows)
-        np.multiply(rows, rows, out=rows)
-        for k in range(1, a.shape[1]):
-            np.subtract(a[i : i + step, k : k + 1], bT[k], out=tmp)
-            np.multiply(tmp, tmp, out=tmp)
-            np.add(rows, tmp, out=rows)
+        _add_squares(out[i : i + step], a[i : i + step], bT, scratch)
     return out
+
+
+def _upper_blocks(pts: np.ndarray):
+    """Yield pts's pairwise squared distances, one row block at a time.
+
+    A block holds rows i..stop-1 against the points after row i, about
+    ``BLOCK_ENTRIES`` entries, and is a view of one buffer that the next
+    block overwrites.  Its entries that pair a row's point with itself
+    or an earlier point are not pairs of the upper triangle; they are
+    NaN, so no comparison counts them.
+    """
+    n = pts.shape[0]
+    bT = np.ascontiguousarray(pts.T)
+    buffer = np.empty(max(BLOCK_ENTRIES, n - 1))
+    scratch = _scratch(buffer.size, pts.shape[1])
+    i = 0
+    while i < n - 1:
+        stop = min(n - 1, i + max(1, BLOCK_ENTRIES // (n - 1 - i)))
+        rows = stop - i
+        block = buffer[: rows * (n - 1 - i)].reshape(rows, n - 1 - i)
+        _add_squares(block, pts[i:stop], bT[:, i + 1 :], scratch)
+        block[:, :rows][np.tri(rows, k=-1, dtype=bool)] = np.nan
+        yield block
+        i = stop
+
+
+def _bracket_pass(pts: np.ndarray, lo: float, hi: float):
+    """Stream the pair values once against the bracket [lo, hi].
+
+    Returns the counts of values < lo, <= lo, < hi and <= hi, and the
+    values strictly between lo and hi, as a list of pieces.  Values
+    equal to a bound are counted, not kept, so ties at a bound cost no
+    memory.
+    """
+    counts = [0, 0, 0, 0]
+    kept = []
+    for block in _upper_blocks(pts):
+        lower = block < lo
+        counts[0] += np.count_nonzero(lower)
+        np.less_equal(block, lo, out=lower)
+        counts[1] += np.count_nonzero(lower)
+        upper = block < hi
+        counts[2] += np.count_nonzero(upper)
+        kept.append(block[np.greater(upper, lower, out=lower)])
+        np.less_equal(block, hi, out=upper)
+        counts[3] += np.count_nonzero(upper)
+    return counts, kept
+
+
+def _bracket_levels(pts: np.ndarray, rng, ranks: list) -> list:
+    """Brackets around the pair values at ``ranks``, narrowest first.
+
+    The bounds are order statistics of m pairs drawn uniformly with
+    replacement, m chosen so that the first bracket holds about
+    ``BLOCK_ENTRIES`` pair values.  Each further level is 8 times as
+    wide, and the last is (-inf, inf), which holds every pair.  A pool
+    with at most ``BLOCK_ENTRIES`` pairs gets that last level only.
+    """
+    n, d = pts.shape
+    count = n * (n - 1) // 2
+    if count <= BLOCK_ENTRIES:
+        return [(-np.inf, np.inf)]
+    m = min(count, math.ceil((BRACKET_SIGMAS * count / BLOCK_ENTRIES) ** 2))
+    # pair p of the upper triangle, in row order, is (row, col) with
+    # starts[row] <= p < starts[row + 1]
+    first = np.arange(n - 1)
+    starts = first * (2 * n - first - 1) // 2
+    picks = rng.integers(count, size=m)
+    rows = np.searchsorted(starts, picks, side="right") - 1
+    cols = picks - starts[rows] + rows + 1
+    sample = np.empty(m)
+    # the sampled points come in chunks of BLOCK_ENTRIES / 8 coordinates
+    step = max(1, BLOCK_ENTRIES // (8 * d))
+    for s in range(0, m, step):
+        diff = pts[rows[s : s + step]] - pts[cols[s : s + step]]
+        sample[s : s + step] = np.einsum("ij,ij->i", diff, diff)
+    # a sampled rank near the middle has standard error sqrt(m) / 2
+    spread = BRACKET_SIGMAS * math.sqrt(m) / 2.0
+    bounds = [
+        (math.floor(ranks[0] * m / count - width), math.ceil(ranks[-1] * m / count + width))
+        for width in (spread, 8.0 * spread, 64.0 * spread)
+    ]
+    sample.partition(sorted({k for pair in bounds for k in pair if 0 <= k < m}))
+    levels = [
+        (sample[lo] if lo >= 0 else -np.inf, sample[hi] if hi < m else np.inf)
+        for lo, hi in bounds
+    ]
+    return levels + [(-np.inf, np.inf)]
 
 
 def median_heuristic(samples, seed: int = 0) -> float:
@@ -82,38 +193,56 @@ def median_heuristic(samples, seed: int = 0) -> float:
     points are reduced to a seeded uniform subsample first, since the
     O(N^2) distance computation dominates otherwise.
 
-    The N(N-1)/2 squared distances fill one buffer, which is partitioned
-    in place; only its middle one or two values are square-rooted and
-    averaged as ``np.median`` does.  Square roots are monotone and
+    The middle one or two of the N(N-1)/2 squared distances are found
+    without storing them all (Floyd and Rivest's selection, CACM 18(3),
+    1975): a seeded sample of pairs brackets the middle ranks, one pass
+    over the distance blocks counts the values below the bracket and
+    keeps those inside it, and a wider bracket streams again only when
+    the first one missed.  Memory is one distance block plus the kept
+    values, about ``BLOCK_ENTRIES`` of them.  The selected values are
+    square-rooted and averaged as ``np.median`` does; distances and
+    order statistics are exact, and square roots are monotone and
     correctly rounded, so this equals the median of the distances bit
-    for bit, without a second copy of them.
+    for bit.
 
     Raises
     ------
     ValueError
-        If fewer than two samples are given, or all samples coincide
-        (median distance zero gives a degenerate bandwidth).
+        If fewer than two samples are given, a sample is not finite, or
+        all samples coincide (median distance zero gives a degenerate
+        bandwidth).
     """
     pts = as_points(samples)
     if pts.shape[0] < 2:
         raise ValueError("insufficient samples for the median heuristic (need >= 2)")
+    if not np.isfinite(pts).all():
+        raise ValueError("samples have a non-finite entry (NaN or inf)")
+    rng = np.random.default_rng(seed)
     if pts.shape[0] > MAX_POINTS:
-        rng = np.random.default_rng(seed)
         pts = pts[rng.choice(pts.shape[0], size=MAX_POINTS, replace=False)]
-    n = pts.shape[0]
-    pairs = np.empty(n * (n - 1) // 2)
-    start = i = 0
-    while i < n - 1:
-        # a block of rows against the points after its first row; row r keeps j > r
-        stop = min(n - 1, i + max(1, BLOCK_ENTRIES // (n - 1 - i)))
-        for r, row in enumerate(_squared_distances(pts[i:stop], pts[i + 1 :])):
-            pairs[start : start + row.size - r] = row[r:]
-            start += row.size - r
-        i = stop
-    half = pairs.size // 2
-    kth = [half - 1, half] if pairs.size % 2 == 0 else [half]
-    pairs.partition(kth)
-    med = float(np.mean(np.sqrt(pairs[kth])))
+    count = pts.shape[0] * (pts.shape[0] - 1) // 2
+    half = count // 2
+    ranks = [half - 1, half] if count % 2 == 0 else [half]
+    levels = _bracket_levels(pts, rng, ranks)
+    low = high = 0
+    while True:
+        lo, hi = levels[low][0], levels[high][1]
+        (below, upto_lo, below_hi, upto_hi), kept = _bracket_pass(pts, lo, hi)
+        missed_low, missed_high = ranks[0] < below, ranks[-1] >= upto_hi
+        if not (missed_low or missed_high):
+            break
+        low += missed_low
+        high += missed_high
+    # ranks below upto_lo hold lo, ranks from below_hi on hold hi, and
+    # those between are the kept values, in order once partitioned
+    inside = np.concatenate(kept)
+    kth = [k - upto_lo for k in ranks if upto_lo <= k < below_hi]
+    if kth:
+        inside.partition(kth)
+    middle = np.array(
+        [lo if k < upto_lo else hi if k >= below_hi else inside[k - upto_lo] for k in ranks]
+    )
+    med = float(np.mean(np.sqrt(middle)))
     if med <= 0.0:
         raise ValueError("degenerate bandwidth: median pairwise distance is zero")
     return med / float(np.sqrt(2.0))

@@ -11,7 +11,9 @@ found by alternating row/column balancing.  The reward has rank b,
 C = (K * alpha)^T L, and the solver takes it as those factors: S =
 (1 - beta) C / epsilon is written by one GEMM straight into the buffer
 where the kernel G = exp(phi_i + S_ij + psi_j) and then the plan are
-formed, so a solve holds one n_x x n_y array.  The plan's feature mass
+formed, so a solve holds one n_x x n_y array.  Its finiteness follows
+from a bound on the factors, and its temporaries are b x n products,
+one at a time.  The plan's feature mass
 m = rowsum((K pi) * L) gives <pi, C> = alpha^T m and the fit's linear
 term alike.  The solver below keeps dual
 potentials in log space and absorbs the running scaling factors into
@@ -167,6 +169,22 @@ def _positive_finite(sums: np.ndarray) -> bool:
     return bool(0.0 < _min(sums) and _max(sums) < np.inf)
 
 
+def _finite_reward(K, scaled_alpha, L) -> bool:
+    """Whether every entry of S = (K * scaled_alpha)^T L is surely finite.
+
+    By Cauchy-Schwarz, |S_ij| <= max|scaled_alpha| ||K[:, i]|| ||L[:, j]||,
+    at most max|scaled_alpha| ||K||_F ||L||_F.  Rounding, in the GEMM
+    and in the bound alike, moves either by a relative b n 2^-53 at
+    most, so a bound below half the largest double proves S finite from
+    two passes over the factors.  False means only that the entries
+    must be checked one by one.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.einsum("ij,ij->", K, K) * np.einsum("ij,ij->", L, L)
+        bound = np.max(np.abs(scaled_alpha), initial=0.0) * np.sqrt(squares)
+    return bool(bound < 0.5 * np.finfo(float).max)
+
+
 def sinkhorn_solve(
     reward, beta: float, epsilon: float, potentials, out: np.ndarray | None = None
 ) -> TransportPlan:
@@ -202,7 +220,12 @@ def sinkhorn_solve(
     The kernel is formed in the plan's buffer by one GEMM of the
     factors plus the potentials; absorptions and the log-domain pass,
     which runs only when that kernel overflows or has an empty row or
-    column, form it the same way.
+    column, form it the same way.  Beside the plan, a solve holds at
+    most one b x n product at a time: K * scale * alpha for each GEMM,
+    and K pi for the feature mass.  A non-finite S is an error (a
+    ``ValueError`` naming beta and epsilon); a bound on |S| from the
+    factors rules it out, and only when the bound reaches the largest
+    doubles is S checked entry by entry.
 
     The returned plan records its entropy, computed from the potentials
     and the plan's actual row and column sums (exact also when the
@@ -224,6 +247,8 @@ def sinkhorn_solve(
     # kernel and finally the plan are formed too.  Non-finite factors,
     # or a product that overflows, leave a non-finite entry in S.
     scale = (1.0 - beta) / epsilon
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled_alpha = scale * alpha
     if out is None:
         M = np.empty((n_x, n_y))
     elif out.shape != (n_x, n_y) or out.dtype != np.float64 or not out.flags.c_contiguous:
@@ -234,10 +259,21 @@ def sinkhorn_solve(
     else:
         M = out
     M_T = M.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        K_scaled_T = (K * (scale * alpha)[:, None]).T
-        np.matmul(K_scaled_T, L, out=M)
-    if not np.isfinite(M).all():
+
+    def log_kernel(p, q):
+        """M = p_i + S_ij + q_j; a None potential is left out.
+
+        The b x n_x product K * scale * alpha lives only for the GEMM.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul((K * scaled_alpha[:, None]).T, L, out=M)
+        if p is not None:
+            np.add(M, p[:, None], out=M)
+        if q is not None:
+            np.add(M, q[None, :], out=M)
+
+    log_kernel(None, None)
+    if not _finite_reward(K, scaled_alpha, L) and not np.isfinite(M).all():
         raise ValueError(
             f"scaled reward (1 - beta) C / epsilon has non-finite entries "
             f"(beta={beta!r}, epsilon={epsilon!r})"
@@ -246,14 +282,6 @@ def sinkhorn_solve(
     a = 1.0 / n_x
     b = 1.0 / n_y
     tol = MARGINAL_TOL
-
-    def log_kernel(p, q):
-        """M = p_i + S_ij + q_j; a None potential is left out."""
-        np.matmul(K_scaled_T, L, out=M)
-        if p is not None:
-            np.add(M, p[:, None], out=M)
-        if q is not None:
-            np.add(M, q[None, :], out=M)
 
     phi, psi = (np.array(p, dtype=float) for p in potentials)
     if phi.shape != (n_x,) or psi.shape != (n_y,):

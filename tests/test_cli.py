@@ -357,6 +357,28 @@ def test_match_writes_assignment(tmp_path):
     assert _timing_keys(out) == PIPELINE_TIMINGS
 
 
+def test_match_forms_each_gram_once(tmp_path, monkeypatch):
+    # the SMI comes from the fit's own features, so with lambda and beta
+    # given (no CV) each side's gram is formed once
+    grams = []
+    gram = semismi.kernels.gaussian_gram
+
+    def counting_gram(centers, points, sigma):
+        grams.append((np.shape(centers), np.shape(points)))
+        return gram(centers, points, sigma)
+
+    monkeypatch.setattr(semismi.kernels, "gaussian_gram", counting_gram)
+    code = main(
+        [
+            "match", "--out", str(tmp_path / "run"), "--synthetic", "linear",
+            "--n", "6", "--nx", "12", "--ny", "14", "--b", "10",
+            "--lambda", "0.01", "--beta", "0.5",
+        ]
+    )
+    assert code == 0
+    assert sorted(grams) == [((10, 1), (18, 1)), ((10, 1), (20, 1))]
+
+
 def test_match_scores_truth_and_labels(tmp_path):
     rng = np.random.default_rng(1)
     base = rng.standard_normal((16, 1))

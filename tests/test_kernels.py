@@ -8,7 +8,9 @@ import pytest
 # scipy is the oracle here only; the package forms distances with numpy
 from scipy.spatial.distance import cdist, pdist
 
+from semismi import kernels
 from semismi.kernels import (
+    BLOCK_ENTRIES,
     MAX_POINTS,
     BasisSet,
     _squared_distances,
@@ -123,9 +125,70 @@ def test_median_heuristic_has_pdists_bits(n, d, offset):
     assert median_heuristic(pts, seed=5) == _scipy_median_heuristic(pts, seed=5)
 
 
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("n", [101, 400, 2500], ids=lambda n: f"n{n}")
+def test_median_heuristic_of_sorted_pools_has_pdists_bits(n, d):
+    # sorted pools put every small distance near the diagonal of the
+    # pair triangle, so each distance block holds a narrow value range
+    pts = np.random.default_rng(n + d).standard_normal((n, d))
+    pts = pts[np.argsort(pts[:, 0])]
+    assert median_heuristic(pts, seed=3) == _scipy_median_heuristic(pts, seed=3)
+    assert median_heuristic(pts[::-1], seed=3) == _scipy_median_heuristic(pts[::-1], seed=3)
+
+
+@pytest.mark.parametrize("extra", [0, 5, 20])
+@pytest.mark.parametrize("n", [200, 600, 2400], ids=lambda n: f"n{n}")
+def test_median_heuristic_with_most_pairs_tied_at_the_median_has_pdists_bits(n, extra):
+    # one-hot points in 3-d: points on different axes are at squared
+    # distance exactly 2, which is two thirds of their pairs and the
+    # median; a few other points put distinct values on both sides of it
+    rng = np.random.default_rng(n + extra)
+    pts = np.eye(3)[rng.integers(3, size=n)]
+    pts[:extra] = rng.standard_normal((extra, 3))
+    tied = 2.0 == pdist(pts[: min(n, MAX_POINTS)], "sqeuclidean")
+    assert tied.mean() > 0.5
+    assert median_heuristic(pts, seed=1) == _scipy_median_heuristic(pts, seed=1)
+
+
+@pytest.mark.parametrize("side", ["low", "high"])
+@pytest.mark.parametrize("n", [120, 501], ids=lambda n: f"n{n}")
+def test_median_heuristic_stays_exact_when_its_bracket_misses(monkeypatch, n, side):
+    # a first bracket wholly above the middle ranks misses them low, one
+    # wholly below misses them high; the next pass must still select
+    # exactly pdist's median
+    pts = np.random.default_rng(n).standard_normal((n, 2))
+    values = np.sort(pdist(pts, "sqeuclidean"))
+    wrong = values[values.size * 3 // 4] if side == "low" else values[values.size // 4]
+    levels = kernels._bracket_levels
+    monkeypatch.setattr(kernels, "_bracket_levels", lambda *args: [(wrong, wrong)] + levels(*args))
+    passes = []
+    bracket_pass = kernels._bracket_pass
+
+    def recording_pass(pts, lo, hi):
+        counts, kept = bracket_pass(pts, lo, hi)
+        passes.append(counts)
+        return counts, kept
+
+    monkeypatch.setattr(kernels, "_bracket_pass", recording_pass)
+    assert median_heuristic(pts) == _scipy_median_heuristic(pts)
+    middle = values.size // 2
+    below, _, _, upto_hi = passes[0]
+    assert (middle < below) if side == "low" else (middle >= upto_hi)
+    assert len(passes) == 2
+
+
+def test_median_heuristic_rejects_non_finite_samples():
+    with pytest.raises(ValueError, match="non-finite"):
+        median_heuristic([[0.0], [np.nan], [1.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        median_heuristic([[0.0], [np.inf], [1.0]])
+
+
 def test_median_heuristic_holds_one_pair_buffer():
     # the subsample's 1,999,000 squared distances take 16 MB; pdist plus
-    # np.median's copy of them would take two such buffers
+    # np.median's copy of them would take two such buffers, and the
+    # streamed selection holds one distance block and the values inside
+    # its bracket, about BLOCK_ENTRIES of each
     pts = np.random.default_rng(0).standard_normal((MAX_POINTS + 1, 1))
     buffer_bytes = 8 * (MAX_POINTS * (MAX_POINTS - 1) // 2)
     tracemalloc.start()
@@ -134,7 +197,8 @@ def test_median_heuristic_holds_one_pair_buffer():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * buffer_bytes
+    assert peak < 0.1 * buffer_bytes
+    assert peak < 4 * 8 * BLOCK_ENTRIES
 
 
 def _scalar_kernel(x, x2, sigma):

@@ -4,6 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from semismi import EstimatorConfig, GridSpec, grid_summarize, plan_to_assignment, topk_accuracy
 from semismi.matching import Assignment, normalize_positions
@@ -100,6 +103,20 @@ def test_topk_rejects_out_of_range_truth_pair(pair):
     # a negative index used to wrap to the last row or column silently
     with pytest.raises(ValueError, match=rf"truth pair \({pair[0]}, {pair[1]}\)"):
         topk_accuracy(np.eye(3) / 3, [(0, 0), pair])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_topk_ranks_rows_as_a_stable_sort_does(data):
+    # few distinct values make ties and uniform rows common; a stable
+    # sort by value, high first, orders equal entries by column
+    n_x, n_y = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+    pi = data.draw(arrays(np.float64, (n_x, n_y), elements=st.sampled_from([0.0, 0.1, 0.25, 0.5])))
+    pairs = st.tuples(st.integers(0, n_x - 1), st.integers(0, n_y - 1))
+    truth = data.draw(st.lists(pairs, min_size=1, max_size=12))
+    k = data.draw(st.integers(1, n_y + 1))
+    ranks = [np.lexsort((np.arange(n_y), -pi[i])).tolist().index(j) for i, j in truth]
+    assert topk_accuracy(pi, truth, k) == sum(r < k for r in ranks) / len(truth)
 
 
 def test_topk_monotone_in_k():

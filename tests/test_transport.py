@@ -1,5 +1,6 @@
 """Tests for the entropic transport-plan solver."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -331,6 +332,60 @@ def test_rejects_bad_factors():
     # finite factors whose product overflows are a non-finite reward too
     with pytest.raises(ValueError, match="non-finite"):
         _cold((K, np.full(5, 1e308), L), 0.5)
+
+
+def test_a_non_finite_reward_is_reported_without_a_numpy_warning():
+    K, alpha, L = _factors(17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                _cold((K, np.where(np.arange(5) == 2, bad, alpha), L), 0.5)
+        with pytest.raises(ValueError, match="non-finite"):
+            _cold((K, np.full(5, 1e308), L), 0.5)
+        with pytest.raises(ValueError, match="non-finite"):
+            _cold((K, alpha, L), 0.5, epsilon=1e-320)
+
+
+def test_a_reward_bound_past_the_largest_double_falls_back_to_the_exact_check():
+    # |S| <= max|alpha| ||I||_F ||I||_F = 1.2e308 proves nothing, but
+    # S = diag(alpha) is finite, so the solve goes on, with no warning
+    reward = (np.eye(2), np.full(2, 6e307), np.eye(2))
+    assert not transport._finite_reward(*reward)
+    assert transport._finite_reward(*_factors(17))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = sinkhorn_solve(reward, 0.0, 1.0, uniform_potentials(2, 2))
+    assert plan.converged
+    np.testing.assert_array_equal(plan.pi, np.eye(2) / 2)
+
+
+def test_a_solve_forms_no_plan_sized_temporary():
+    # with its buffer given, a solve's only temporaries are b x n products
+    # and vectors: no finiteness mask of the reward, which took 1/8 of a
+    # plan, and never two b x n products at once
+    rng = np.random.default_rng(4)
+    n, b = 1000, 20
+    reward = (rng.random((b, n)), rng.standard_normal(b), rng.random((b, n)))
+    out = np.empty((n, n))
+    tracemalloc.start()
+    try:
+        plan = sinkhorn_solve(reward, 0.5, 0.3, uniform_potentials(n, n), out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan.converged and plan.pi is out
+    assert peak < 0.06 * out.nbytes
+
+
+def test_feature_mass_keeps_the_bits_of_the_product_expression():
+    # rowsum((K pi) * L) multiplied in place is the same arithmetic
+    rng = np.random.default_rng(8)
+    for b, n_x, n_y in ((1, 1, 1), (3, 40, 1), (7, 33, 65), (200, 50, 700)):
+        K, L = rng.random((b, n_x)), rng.random((b, n_y))
+        pi = rng.random((n_x, n_y))
+        expected = np.sum((K @ pi) * L, axis=1)
+        assert np.array_equal(weighted_feature_sum(K, L, pi), expected)
 
 
 def test_log_domain_survives_extreme_costs():
