@@ -516,7 +516,7 @@ def cmd_match(args, recorder: RunRecorder) -> int:
         "command": "match",
         "lambda": config.lam,
         "beta": config.beta,
-        "matched": len(assignment.pairs),
+        "matched": len(assignment),
         "smi": result.smi,
         "iterations": result.iterations_run,
         "converged": result.converged,
@@ -526,12 +526,12 @@ def cmd_match(args, recorder: RunRecorder) -> int:
         record["top1_accuracy"] = topk_accuracy(result.plan, local, 1)
         record["top2_accuracy"] = topk_accuracy(result.plan, local, 2)
     if lx is not None:
-        same = [lx[x_rows[i]] == ly[y_rows[j]] for i, j in assignment.pairs]
+        same = [lx[x_rows[i]] == ly[y_rows[j]] for i, j in assignment]
         record["class_accuracy"] = float(np.mean(same))
 
     with recorder.phase("write_seconds"):
         lines = ["x_row,y_row"]
-        lines += [f"{x_rows[i]},{y_rows[j]}" for i, j in assignment.pairs]
+        lines += [f"{x_rows[i]},{y_rows[j]}" for i, j in assignment]
         recorder.write("assignment.csv", "\n".join(lines) + "\n")
         _write_outputs(recorder, record, report, result.plan.pi if args.save_plan else None)
     return _plan_exit_code(result.plan)

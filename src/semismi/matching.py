@@ -19,7 +19,6 @@ from .kernels import as_points
 from .transport import TransportPlan
 
 __all__ = [
-    "Assignment",
     "GridSpec",
     "plan_to_assignment",
     "topk_accuracy",
@@ -37,22 +36,8 @@ def _plan_matrix(plan) -> np.ndarray:
     return pi
 
 
-@dataclass
-class Assignment:
-    """One-to-one pairs covering the smaller side of the plan."""
-
-    pairs: list
-
-    def __post_init__(self):
-        self.pairs = [(int(i), int(j)) for i, j in self.pairs]
-        xs = [i for i, _ in self.pairs]
-        ys = [j for _, j in self.pairs]
-        if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
-            raise ValueError("assignment repeats an index")
-
-
-def plan_to_assignment(plan) -> Assignment:
-    """Round a plan to min(n_x, n_y) one-to-one pairs.
+def plan_to_assignment(plan) -> list[tuple[int, int]]:
+    """Round a plan to min(n_x, n_y) one-to-one (row, column) pairs.
 
     Solves the maximum-weight bipartite matching with the Hungarian
     method, so the pairs capture the most plan mass any assignment can.
@@ -62,7 +47,7 @@ def plan_to_assignment(plan) -> Assignment:
     from scipy.optimize import linear_sum_assignment
 
     rows, cols = linear_sum_assignment(_plan_matrix(plan), maximize=True)
-    return Assignment(list(zip(rows.tolist(), cols.tolist())))
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def topk_accuracy(plan, truth, k: int = 1) -> float:
@@ -192,8 +177,7 @@ def grid_summarize(features, grid: GridSpec, config: EstimatorConfig) -> tuple:
         beta = config.beta if grid.anchors else 0.0
         with naming_grid_sides():
             result = fit(data, replace(config, beta=beta))
-        assignment = plan_to_assignment(result.plan)
         placements.extend(
-            (free_items[i], free_spots[j]) for i, j in assignment.pairs
+            (free_items[i], free_spots[j]) for i, j in plan_to_assignment(result.plan)
         )
     return sorted(placements, key=lambda ip: ip[1]), result

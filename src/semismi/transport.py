@@ -11,16 +11,18 @@ found by alternating row/column balancing.  The reward has rank b,
 C = (K * alpha)^T L, and the solver takes it as those factors: S =
 (1 - beta) C / epsilon is written by one GEMM straight into the buffer
 where the kernel G = exp(phi_i + S_ij + psi_j) and then the plan are
-formed, so a solve holds one n_x x n_y array.  Its finiteness follows
-from a bound on the factors, and its temporaries are b x n products,
-one at a time.  The plan's feature mass
+formed, so a solve holds one n_x x n_y array, and its temporaries are
+b x n products, one at a time.  The plan's feature mass
 m = rowsum((K pi) * L) gives <pi, C> = alpha^T m and the fit's linear
-term alike.  The solver below keeps dual
-potentials in log space and absorbs the running scaling factors into
-them whenever one leaves [exp(-ABSORB_THRESHOLD), exp(ABSORB_THRESHOLD)]
-(Schmitzer's stabilized scaling), so arbitrarily large cost magnitudes
-cannot overflow while the hot loop stays two matrix-vector products per
-sweep.  The plan's entropy follows from those potentials:
+term alike.  The solver below keeps dual potentials in log space and
+absorbs the running scaling factors into them whenever one leaves
+[exp(-ABSORB_THRESHOLD), exp(ABSORB_THRESHOLD)] (Schmitzer's
+stabilized scaling), so arbitrarily large cost magnitudes cannot
+overflow while the hot loop stays two matrix-vector products per
+sweep.  The start and every absorption form the kernel by the same
+step.  Only when that kernel overflows or has an empty row or column
+is S checked entry by entry, and one log-domain sweep forms the
+kernel again.  The plan's entropy follows from those potentials:
 log pi_ij = phi_i + S_ij + psi_j, so no logarithm of the plan is taken.
 
 Slow solves switch to over-relaxed sweeps, u <- u^(1-w) (a / G v)^w and
@@ -169,22 +171,6 @@ def _positive_finite(sums: np.ndarray) -> bool:
     return bool(0.0 < _min(sums) and _max(sums) < np.inf)
 
 
-def _finite_reward(K, scaled_alpha, L) -> bool:
-    """Whether every entry of S = (K * scaled_alpha)^T L is surely finite.
-
-    By Cauchy-Schwarz, |S_ij| <= max|scaled_alpha| ||K[:, i]|| ||L[:, j]||,
-    at most max|scaled_alpha| ||K||_F ||L||_F.  Rounding, in the GEMM
-    and in the bound alike, moves either by a relative b n 2^-53 at
-    most, so a bound below half the largest double proves S finite from
-    two passes over the factors.  False means only that the entries
-    must be checked one by one.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.einsum("ij,ij->", K, K) * np.einsum("ij,ij->", L, L)
-        bound = np.max(np.abs(scaled_alpha), initial=0.0) * np.sqrt(squares)
-    return bool(bound < 0.5 * np.finfo(float).max)
-
-
 def sinkhorn_solve(
     reward, beta: float, epsilon: float, potentials, out: np.ndarray | None = None
 ) -> TransportPlan:
@@ -217,15 +203,18 @@ def sinkhorn_solve(
     None.  ``fit`` passes the plan of two solves back, so a fit touches
     two plan-sized buffers instead of a fresh one per solve, which the
     allocator may return to the system and fault in again each time.
-    The kernel is formed in the plan's buffer by one GEMM of the
-    factors plus the potentials; absorptions and the log-domain pass,
-    which runs only when that kernel overflows or has an empty row or
-    column, form it the same way.  Beside the plan, a solve holds at
-    most one b x n product at a time: K * scale * alpha for each GEMM,
-    and K pi for the feature mass.  A non-finite S is an error (a
-    ``ValueError`` naming beta and epsilon); a bound on |S| from the
-    factors rules it out, and only when the bound reaches the largest
-    doubles is S checked entry by entry.
+    The kernel exp(phi_i + S_ij + psi_j) is formed in the plan's buffer
+    by one GEMM of the factors plus the potentials, at the start and at
+    every absorption alike.  Only when it overflows or has an empty row
+    or column is S formed alone and checked entry by entry; the
+    log-domain pass then forms the kernel again, as one sweep.  Beside
+    the plan, a solve holds at most one b x n product at a time:
+    K * scale * alpha for each GEMM, and K pi for the feature mass.  A
+    NaN or +inf in S, or a row or column of S that is all -inf, is an
+    error (a ``ValueError`` naming beta and epsilon): each makes the
+    kernel unusable, so the check always sees it.  An isolated -inf
+    entry is allowed; its kernel and plan entry are exactly 0 on either
+    path.
 
     The returned plan records its entropy, computed from the potentials
     and the plan's actual row and column sums (exact also when the
@@ -233,19 +222,23 @@ def sinkhorn_solve(
     <pi, C> = alpha^T m.
     """
     K, alpha, L = (np.asarray(f, dtype=float) for f in reward)
-    if K.ndim != 2 or L.ndim != 2 or alpha.shape != (K.shape[0],) or L.shape[0] != K.shape[0]:
+    shaped = K.ndim == L.ndim == 2 and alpha.shape == (K.shape[0],) == L.shape[:1]
+    if not shaped or 0 in (K.shape[1], L.shape[1]):
         raise ValueError(
-            f"reward factors must have shapes (b, n_x), (b,), (b, n_y); got "
-            f"{K.shape}, {alpha.shape}, {L.shape}"
+            f"reward factors must have shapes (b, n_x), (b,), (b, n_y) with n_x, n_y >= 1; "
+            f"got {K.shape}, {alpha.shape}, {L.shape}"
         )
     n_x, n_y = K.shape[1], L.shape[1]
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    phi, psi = (np.array(p, dtype=float) for p in potentials)
+    if phi.shape != (n_x,) or psi.shape != (n_y,):
+        raise ValueError("starting potentials do not match the cost shape")
 
     # S = scale * C is never stored on its own: it is formed by one GEMM
-    # of the factors in the buffer M, where every rebuild of the log
-    # kernel and finally the plan are formed too.  Non-finite factors,
-    # or a product that overflows, leave a non-finite entry in S.
+    # of the factors in the buffer M, where every kernel and finally the
+    # plan are formed too.  Non-finite factors, or a product that
+    # overflows, leave a non-finite entry in S.
     scale = (1.0 - beta) / epsilon
     with np.errstate(over="ignore", invalid="ignore"):
         scaled_alpha = scale * alpha
@@ -267,55 +260,59 @@ def sinkhorn_solve(
         """
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul((K * scaled_alpha[:, None]).T, L, out=M)
-        if p is not None:
-            np.add(M, p[:, None], out=M)
-        if q is not None:
-            np.add(M, q[None, :], out=M)
-
-    log_kernel(None, None)
-    if not _finite_reward(K, scaled_alpha, L) and not np.isfinite(M).all():
-        raise ValueError(
-            f"scaled reward (1 - beta) C / epsilon has non-finite entries "
-            f"(beta={beta!r}, epsilon={epsilon!r})"
-        )
+            if p is not None:
+                np.add(M, p[:, None], out=M)
+            if q is not None:
+                np.add(M, q[None, :], out=M)
 
     a = 1.0 / n_x
     b = 1.0 / n_y
     tol = MARGINAL_TOL
 
-    phi, psi = (np.array(p, dtype=float) for p in potentials)
-    if phi.shape != (n_x,) or psi.shape != (n_y,):
-        raise ValueError("starting potentials do not match the cost shape")
-
-    def rebuild():
-        # One log-space sweep followed by kernel materialization; safe
-        # for any potential/cost magnitudes.
-        log_kernel(None, psi)
-        p = -np.log(n_x) - _logsumexp(M, axis=1)
-        log_kernel(p, None)
-        q = -np.log(n_y) - _logsumexp(M, axis=0)
-        log_kernel(p, q)
-        np.exp(M, out=M)
-        return p, q
-
     # The scalings share one buffer, so the absorption test is two
     # reductions; all ones, they also turn the products below into sums.
     uv = np.ones(n_x + n_y)
     u, v = uv[:n_x], uv[n_x:]
-    # The absorbed kernel of the starting potentials is usable as it
-    # stands unless they overflow it or leave a row or column empty.
-    # Its row sums are also the first sweep's M v.  M holds S.
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.add(M, phi[:, None], out=M)
-        np.add(M, psi[None, :], out=M)
+
+    def rebuild():
+        """One log-space sweep into the potentials, then u = v = 1 and the
+        kernel, whose columns it balances exactly; returns M v.  Safe for
+        any potential/cost magnitudes."""
+        log_kernel(None, psi)
+        phi[:] = -np.log(n_x) - _logsumexp(M, axis=1)
+        log_kernel(phi, None)
+        psi[:] = -np.log(n_y) - _logsumexp(M, axis=0)
+        log_kernel(phi, psi)
         np.exp(M, out=M)
-        Kv = M.dot(v)
-        usable = _positive_finite(Kv) and _positive_finite(M_T.dot(u))
-    it = 0
-    if not usable:
-        phi, psi = rebuild()  # M: columns exactly balanced, one sweep
-        Kv = M.dot(v)
-        it = 1
+        uv.fill(1.0)
+        return M.dot(v)
+
+    def absorbed_kernel():
+        """u = v = 1 and M = exp(phi + S + psi); returns M v and the sweeps taken.
+
+        That kernel is usable as it stands unless the potentials overflow
+        it or leave a row or column empty; its row sums are the next
+        sweep's M v.  Otherwise S alone is checked, and one log-domain
+        sweep forms the kernel again.
+        """
+        uv.fill(1.0)
+        log_kernel(phi, psi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.exp(M, out=M)
+            Kv = M.dot(v)
+            if _positive_finite(Kv) and _positive_finite(M_T.dot(u)):
+                return Kv, 0
+        # Row and column maxima are finite exactly when S has no NaN or
+        # +inf and no row or column that is all -inf.
+        log_kernel(None, None)
+        if not (np.isfinite(M.max(axis=1)).all() and np.isfinite(M.max(axis=0)).all()):
+            raise ValueError(
+                f"scaled reward (1 - beta) C / epsilon has non-finite entries "
+                f"(beta={beta!r}, epsilon={epsilon!r})"
+            )
+        return rebuild(), 1
+
+    Kv, it = absorbed_kernel()
     dev = np.empty(n_y)
     row_step = np.empty(n_x)
     converged = False
@@ -350,9 +347,7 @@ def sinkhorn_solve(
             converged = True
             break
         if not err < np.inf:
-            phi, psi = rebuild()
-            uv.fill(1.0)
-            Kv = M.dot(v)
+            Kv = rebuild()
             omega = 1.0
             last_err = last_ratio = np.inf
             continue
@@ -380,10 +375,10 @@ def sinkhorn_solve(
         if _max(uv) > _ABSORB_HIGH or _min(uv) < _ABSORB_LOW:
             phi += np.log(u)
             psi += np.log(v)
-            log_kernel(phi, psi)
-            np.exp(M, out=M)
-            uv.fill(1.0)
-        Kv = M.dot(v)
+            Kv, rebuilt = absorbed_kernel()
+            it += rebuilt
+        else:
+            Kv = M.dot(v)
 
     pi = M
     pi *= u[:, None]

@@ -347,12 +347,53 @@ def test_a_non_finite_reward_is_reported_without_a_numpy_warning():
             _cold((K, alpha, L), 0.5, epsilon=1e-320)
 
 
+def test_a_non_finite_reward_is_reported_from_a_converged_plans_potentials():
+    # a NaN or +inf entry, or a row that is all -inf, leaves the warm
+    # kernel unusable, so the entry-wise check runs and reports it
+    K, alpha, L = _factors(17)
+    warm = _potentials(_cold((K, alpha, L), 0.5))
+    k = alpha.argmax()
+    assert alpha[k] > 0.0 and L[k].min() > 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, -np.inf):
+            bad_K = K.copy()
+            bad_K[k, 3] = bad  # row 3 of S becomes bad
+            with pytest.raises(ValueError, match="non-finite"):
+                sinkhorn_solve((bad_K, alpha, L), 0.5, 0.3, warm)
+
+
+@pytest.mark.parametrize("shift", [0.0, 800.0])
+def test_an_isolated_minus_inf_reward_entry_gives_a_zero_plan_entry(shift):
+    # S[0, 0] overflows to -inf and the rest of S is finite: that pair
+    # gets no mass, whether the kernel is usable (shift 0) or overflows
+    # and the log-domain pass forms it (shift 800)
+    rng = np.random.default_rng(18)
+    K = np.vstack([[1e200, 1e-200, 1e-200], rng.random(3)])
+    L = np.vstack([[1e200, 1e-200, 1e-200, 1e-200], rng.random(4)])
+    reward = (K, np.array([-1.0, 1.0]), L)
+    cold = _cold(reward, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = sinkhorn_solve(reward, 0.5, 0.3, _potentials(cold, shift))
+    assert plan.converged
+    assert plan.pi[0, 0] == 0.0
+    assert_valid_plan(plan, 3, 4, tol=1e-10)
+    np.testing.assert_allclose(plan.pi, cold.pi, atol=1e-10)
+
+
+@pytest.mark.parametrize("n_x, n_y", [(0, 4), (4, 0)])
+def test_a_reward_with_an_empty_side_is_rejected_naming_the_shapes(n_x, n_y):
+    K, alpha, L = _factors(18, n_x=n_x, n_y=n_y)
+    shapes = rf"got \(5, {n_x}\), \(5,\), \(5, {n_y}\)$"
+    with pytest.raises(ValueError, match="n_x, n_y >= 1; " + shapes):
+        sinkhorn_solve((K, alpha, L), 0.5, 0.3, (np.zeros(n_x), np.zeros(n_y)))
+
+
 def test_a_reward_bound_past_the_largest_double_falls_back_to_the_exact_check():
-    # |S| <= max|alpha| ||I||_F ||I||_F = 1.2e308 proves nothing, but
-    # S = diag(alpha) is finite, so the solve goes on, with no warning
+    # the kernel of S = diag(alpha) overflows, but S is finite, so the
+    # solve goes on through the log-domain pass, with no warning
     reward = (np.eye(2), np.full(2, 6e307), np.eye(2))
-    assert not transport._finite_reward(*reward)
-    assert transport._finite_reward(*_factors(17))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         plan = sinkhorn_solve(reward, 0.0, 1.0, uniform_potentials(2, 2))
