@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import KINDS, SyntheticSpec, generate, load_table
-from .estimator import EstimatorConfig, SampleSet, fit
+from .data import KINDS, SyntheticSpec, generate, index_pairs, load_table, split_pairs
+from .estimator import EstimatorConfig, fit
 from .matching import (
     GridSpec,
     grid_sample_set,
@@ -311,8 +311,8 @@ def _add_io_args(parser):
 
 _DEFAULTS = EstimatorConfig()
 
-#: benchmark's basis: small enough that no sweep size clamps it, so
-#: every run prices the same number of features.
+#: benchmark's basis; a size below BENCH_BASIS - BENCH_PAIRS clamps it
+#: to size + BENCH_PAIRS, and result.txt records each size's basis.
 BENCH_BASIS = 100
 #: benchmark's paired count per run.
 BENCH_PAIRS = 10
@@ -370,14 +370,10 @@ def _load_index(path, flag: str, recorder: RunRecorder, rows=None) -> np.ndarray
     if not path:
         return np.empty((0, 2), dtype=int)
     recorder.note_input(path)
-    table = load_table(path)
-    if table.shape[1] != 2:
-        raise ValueError(f"{flag} file must have two columns")
-    if not np.all(np.mod(table, 1.0) == 0.0):
-        raise ValueError(f"{flag} file has an entry that is not a whole number")
-    if rows is not None and (table.min() < 0 or (table >= rows).any()):
+    idx = index_pairs(load_table(path), f"{flag} file")
+    if rows is not None and (idx.min() < 0 or (idx >= rows).any()):
         raise ValueError(f"{flag} row index out of range ({rows[0]} x rows, {rows[1]} y rows)")
-    return table.astype(int)
+    return idx
 
 
 def _load_labels(path, flag: str, rows: int, recorder: RunRecorder) -> list:
@@ -388,38 +384,21 @@ def _load_labels(path, flag: str, rows: int, recorder: RunRecorder) -> list:
     return labels
 
 
-def _load_indexed(args, recorder: RunRecorder):
-    """Build a SampleSet from --x/--y tables plus an optional pair index.
-
-    Returns (data, x_rows, y_rows) where the row lists map unpaired
-    pool positions back to table rows.
-    """
-    if not args.x or not args.y:
-        raise ValueError("file input needs both --x and --y")
-    recorder.note_input(args.x)
-    recorder.note_input(args.y)
-    x = load_table(args.x)
-    y = load_table(args.y)
-    idx = _load_index(args.paired, "--paired", recorder, (x.shape[0], y.shape[0]))
-    px, py = idx[:, 0], idx[:, 1]
-    pools = []
-    for name, ids, limit in (("x", px, x.shape[0]), ("y", py, y.shape[0])):
-        taken = set(ids.tolist())
-        if len(taken) != len(ids):
-            raise ValueError(f"--paired repeats a {name} row")
-        pools.append([row for row in range(limit) if row not in taken])
-    x_rows, y_rows = pools
-    data = SampleSet(x[px], y[py], x[x_rows], y[y_rows])
-    return data, x_rows, y_rows
-
-
 def _resolve_data(args, recorder: RunRecorder):
+    """The run's SampleSet, generated or read from --x/--y split by the
+    --paired index, and the table row of each x and y pool position."""
     if args.synthetic and (args.x or args.y or args.paired):
         raise ValueError("choose either --synthetic or --x/--y/--paired, not both")
     if args.synthetic:
         data = generate(_synthetic_spec(args))
         return data, list(range(data.n_x)), list(range(data.n_y))
-    return _load_indexed(args, recorder)
+    if not args.x or not args.y:
+        raise ValueError("file input needs both --x and --y")
+    recorder.note_input(args.x)
+    recorder.note_input(args.y)
+    x, y = load_table(args.x), load_table(args.y)
+    idx = _load_index(args.paired, "--paired", recorder, (x.shape[0], y.shape[0]))
+    return split_pairs(x, y, idx, "--paired")
 
 
 def _tune(args, recorder: RunRecorder, data):
@@ -497,13 +476,10 @@ def cmd_match(args, recorder: RunRecorder) -> int:
         # Truth and label files index whole tables, only the pools when generated.
         paired = 0 if args.synthetic else data.n
         rows_x, rows_y = paired + data.n_x, paired + data.n_y
+        truth = _load_index(args.truth, "--truth", recorder, (rows_x, rows_y))
         # Truth pairs that fall in the pools, as (pool position, pool position).
-        local = []
-        if args.truth:
-            truth = _load_index(args.truth, "--truth", recorder, (rows_x, rows_y))
-            x_pos = {row: i for i, row in enumerate(x_rows)}
-            y_pos = {row: j for j, row in enumerate(y_rows)}
-            local = [(x_pos[i], y_pos[j]) for i, j in truth.tolist() if i in x_pos and j in y_pos]
+        x_pos, y_pos = ({row: i for i, row in enumerate(rows)} for rows in (x_rows, y_rows))
+        local = [(x_pos[i], y_pos[j]) for i, j in truth.tolist() if i in x_pos and j in y_pos]
         if bool(args.labels_x) != bool(args.labels_y):
             raise ValueError("--labels-x and --labels-y must be given together")
         lx = ly = None
@@ -579,7 +555,7 @@ def cmd_summarize(args, recorder: RunRecorder) -> int:
             "placed": len(placements),
             "unplaced": len(unplaced),
             "lambda": config.lam,
-            "beta": config.beta,
+            "beta": grid.fit_config(config).beta,
         }
         if result is not None:
             record.update(converged=result.converged, plan_feasible=result.plan.converged)
@@ -610,6 +586,7 @@ def cmd_benchmark(args, recorder: RunRecorder) -> None:
         raise ValueError("--repeats must be >= 1")
     config = EstimatorConfig(n_basis=BENCH_BASIS, seed=args.seed)
     rows = [None] * len(sizes)
+    bases = [None] * len(sizes)
     with recorder.phase("sweep_seconds"):
         pools = [generate(SyntheticSpec("linear", BENCH_PAIRS, size, size, seed=args.seed)) for size in sizes]
         # each round fits every size once, so all sizes get as many draws;
@@ -618,6 +595,7 @@ def cmd_benchmark(args, recorder: RunRecorder) -> None:
         for _ in range(args.repeats):
             for i, data in enumerate(pools):
                 result = fit(data, config)
+                bases[i] = result.model.basis.b
                 t = result.timings
                 if rows[i] is None or t["per_iteration_seconds"] < rows[i][4]:
                     rows[i] = (
@@ -641,7 +619,7 @@ def cmd_benchmark(args, recorder: RunRecorder) -> None:
             "sizes": sizes,
             "repeats": args.repeats,
             "slope": slope,
-            "b": BENCH_BASIS,
+            "b": bases,
             "n": BENCH_PAIRS,
         }
         recorder.write("result.txt", _format_record(record), deterministic=False)

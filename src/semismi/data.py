@@ -22,6 +22,8 @@ __all__ = [
     "SyntheticSpec",
     "generate",
     "load_table",
+    "index_pairs",
+    "split_pairs",
     "split_features",
     "make_semi_supervised",
 ]
@@ -140,6 +142,42 @@ def load_table(path) -> np.ndarray:
     if bad.size:
         raise ValueError(f"{path}: non-finite entry (NaN or inf) in data row {bad[0] + 1}")
     return table
+
+
+def index_pairs(values, label: str) -> np.ndarray:
+    """Known (row, row) pairs as an (N, 2) int array.
+
+    ``values`` must be two columns of whole numbers, or empty; errors
+    name ``label``.  Ranges are the caller's to check.
+    """
+    table = np.asarray(values, dtype=float)
+    if table.shape[1:] != (2,) and table.shape != (0,):
+        raise ValueError(f"{label} must have two columns")
+    with np.errstate(invalid="ignore"):
+        whole = np.mod(table, 1.0) == 0.0
+    if not whole.all():
+        raise ValueError(f"{label} has an entry that is not a whole number: {table[~whole][0]}")
+    huge = np.abs(table) >= 2.0**63
+    if huge.any():  # past int64: the cast would wrap it
+        raise ValueError(f"{label} has an entry too large for an index: {table[huge][0]}")
+    return table.astype(int).reshape(-1, 2)
+
+
+def split_pairs(x, y, pairs: np.ndarray, label: str) -> tuple[SampleSet, list, list]:
+    """Two tables as their known pairs, in order, plus the other rows as pools.
+
+    ``pairs`` holds in-range (x row, y row) indices from :func:`index_pairs`;
+    a row named twice is rejected, naming ``label``.  Returns (data,
+    x_rows, y_rows), the lists giving each pool position's table row.
+    """
+    pools = []
+    for side, table, rows in (("x", x, pairs[:, 0]), ("y", y, pairs[:, 1])):
+        free = np.ones(len(table), dtype=bool)
+        free[rows] = False
+        if len(rows) + np.count_nonzero(free) != len(table):
+            raise ValueError(f"{label} repeats a {side} row")
+        pools.append(np.flatnonzero(free).tolist())
+    return SampleSet(x[pairs[:, 0]], y[pairs[:, 1]], x[pools[0]], y[pools[1]]), *pools
 
 
 def split_features(table, d_x: int) -> tuple[np.ndarray, np.ndarray]:

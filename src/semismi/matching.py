@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import index_pairs, split_pairs
 from .estimator import EstimatorConfig, SampleSet, fit
 from .kernels import as_points
 from .transport import TransportPlan
@@ -59,21 +60,18 @@ def topk_accuracy(plan, truth, k: int = 1) -> float:
     pi = _plan_matrix(plan)
     if k < 1:
         raise ValueError("k must be >= 1")
-    truth = [(int(i), int(j)) for i, j in truth]
-    if not truth:
+    truth = index_pairs(truth, "truth")
+    if not len(truth):
         raise ValueError("truth is empty")
     n_x, n_y = pi.shape
-    for i, j in truth:
+    hits = 0
+    for i, j in truth.tolist():
         if not (0 <= i < n_x and 0 <= j < n_y):
             raise ValueError(f"truth pair ({i}, {j}) is out of range for a {n_x}x{n_y} plan")
-    hits = 0
-    for i, j in truth:
         row = pi[i]
         value = row[j]
-        rank = int(np.count_nonzero(row > value)) + int(
-            np.count_nonzero(row[:j] == value)
-        )
-        hits += rank < k
+        rank = np.count_nonzero(row > value) + np.count_nonzero(row[:j] == value)
+        hits += int(rank < k)
     return hits / len(truth)
 
 
@@ -89,14 +87,17 @@ class GridSpec:
         uniq = {tuple(p) for p in self.positions}
         if len(uniq) != self.positions.shape[0]:
             raise ValueError("grid positions must be distinct")
-        self.anchors = [(int(i), int(p)) for i, p in self.anchors]
-        items = [i for i, _ in self.anchors]
-        spots = [p for _, p in self.anchors]
-        if len(set(items)) != len(items) or len(set(spots)) != len(spots):
+        pairs = index_pairs(self.anchors, "anchors")
+        if any(len(set(side)) != len(side) for side in pairs.T.tolist()):
             raise ValueError("conflicting anchors: an index is fixed twice")
-        for _, p in self.anchors:
+        for p in pairs[:, 1].tolist():
             if not 0 <= p < self.positions.shape[0]:
                 raise ValueError(f"anchor position index {p} out of range")
+        self.anchors = [tuple(pair) for pair in pairs.tolist()]
+
+    def fit_config(self, config: EstimatorConfig) -> EstimatorConfig:
+        """``config`` as a fit on this grid uses it: β = 0 when no anchor pairs anything."""
+        return config if self.anchors else replace(config, beta=0.0)
 
 
 def normalize_positions(positions: np.ndarray) -> np.ndarray:
@@ -110,34 +111,16 @@ def normalize_positions(positions: np.ndarray) -> np.ndarray:
 
 
 def grid_sample_set(features, grid: GridSpec) -> tuple[SampleSet, list, list]:
-    """The estimation problem of a grid layout.
-
-    Items are the x samples; normalized grid coordinates are the y
-    samples; anchors form the paired set and everything else is
-    unpaired.  Returns (data, free_items, free_positions), where the
-    index lists map unpaired pool positions back to item and position
-    indices.
-    """
+    """The estimation problem of a grid layout: items are the x samples and
+    normalized grid coordinates the y samples, split by the anchors as
+    :func:`~semismi.data.split_pairs` splits two tables.  Returns its
+    (data, free_items, free_positions)."""
     items = as_points(features, "features")
-    n_items = items.shape[0]
     for i, _ in grid.anchors:
-        if not 0 <= i < n_items:
+        if not 0 <= i < items.shape[0]:
             raise ValueError(f"anchor item index {i} out of range")
     coords = normalize_positions(grid.positions)
-
-    anchored_items = [i for i, _ in grid.anchors]
-    anchored_spots = [p for _, p in grid.anchors]
-    taken_items = set(anchored_items)
-    taken_spots = set(anchored_spots)
-    free_items = [i for i in range(n_items) if i not in taken_items]
-    free_spots = [p for p in range(coords.shape[0]) if p not in taken_spots]
-    data = SampleSet(
-        items[anchored_items],
-        coords[anchored_spots],
-        items[free_items],
-        coords[free_spots],
-    )
-    return data, free_items, free_spots
+    return split_pairs(items, coords, index_pairs(grid.anchors, "anchors"), "anchors")
 
 
 @contextmanager
@@ -162,8 +145,9 @@ def grid_summarize(features, grid: GridSpec, config: EstimatorConfig) -> tuple:
     """Assign items to grid positions, keeping anchored items in place.
 
     The problem is :func:`grid_sample_set`'s; a pool without a kernel
-    bandwidth is named as in :func:`naming_grid_sides`.  After
-    fitting, the plan over the free items/positions is rounded with the
+    bandwidth is named as in :func:`naming_grid_sides`.  The fit takes
+    ``config``'s β, or β = 0 without anchors (:meth:`GridSpec.fit_config`),
+    and its plan over the free items/positions is rounded with the
     Hungarian method.
     Returns (placements, result): (item_index, position_index) pairs
     sorted by position, without the surplus items when there are more
@@ -174,9 +158,8 @@ def grid_summarize(features, grid: GridSpec, config: EstimatorConfig) -> tuple:
     placements = list(grid.anchors)
     result = None
     if free_items and free_spots:
-        beta = config.beta if grid.anchors else 0.0
         with naming_grid_sides():
-            result = fit(data, replace(config, beta=beta))
+            result = fit(data, grid.fit_config(config))
         placements.extend(
             (free_items[i], free_spots[j]) for i, j in plan_to_assignment(result.plan)
         )

@@ -231,11 +231,12 @@ def test_paired_with_synthetic_exits_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
-    "rows",
-    [[[0, 0], [0, 1]], [[1.7, 1.2]]],
-    ids=["repeated-row", "fractional"],
+    "rows, message",
+    [([[0, 0], [0, 1]], "--paired repeats a x row"), ([[0, 1], [2, 1]], "--paired repeats a y row"),
+     ([[1.7, 1.2]], "--paired file has an entry that is not a whole number: 1.7")],
+    ids=["repeated-row", "repeated-y-row", "fractional"],
 )
-def test_estimate_rejects_bad_pair_index(tmp_path, rows):
+def test_estimate_rejects_bad_pair_index(tmp_path, capsys, rows, message):
     x_path = _write_table(tmp_path / "x.csv", np.arange(5.0))
     y_path = _write_table(tmp_path / "y.csv", np.arange(5.0))
     pairs = _write_table(tmp_path / "pairs.csv", rows)
@@ -244,6 +245,7 @@ def test_estimate_rejects_bad_pair_index(tmp_path, rows):
          "--paired", pairs, "--lambda", "0.01", "--beta", "1.0"]
     )
     assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("flag, value", [("--lambda", "nan"), ("--lambda", "inf"), ("--epsilon", "inf")])
@@ -565,6 +567,23 @@ def test_summarize_cv_rejects_bad_anchor_item(tmp_path, capsys):
     assert "anchor item index 40" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "pin, anchors, beta",
+    [([], False, "0.0"), (["--lambda", "0.01", "--beta", "0.7"], False, "0.0"),
+     (["--lambda", "0.01", "--beta", "0.7"], True, "0.7")],
+    ids=["default", "pinned", "pinned-with-anchors"],
+)
+def test_summarize_records_the_beta_its_fit_used(tmp_path, pin, anchors, beta):
+    # without anchors nothing is paired, and the fit runs at beta = 0
+    items = _write_table(tmp_path / "items.csv", np.random.default_rng(6).standard_normal((12, 3)))
+    argv = ["summarize", "--out", str(tmp_path / "o"), "--items", items, "--grid", "3x4",
+            "--b", "8", *pin]
+    if anchors:
+        argv += ["--anchors", _write_table(tmp_path / "anchors.csv", [[0, 0], [1, 5]])]
+    assert main(argv) == 0
+    assert _read_record(tmp_path / "o" / "result.txt")["beta"] == beta
+
+
 def test_summarize_surplus_items_reported(tmp_path):
     rng = np.random.default_rng(3)
     items = _write_table(tmp_path / "items.csv", rng.standard_normal((5, 2)))
@@ -698,6 +717,13 @@ def test_benchmark_fits_every_size_once_per_round(tmp_path, monkeypatch):
     assert sizes == [30, 60, 30, 60]
 
 
+def test_benchmark_records_the_basis_each_size_fitted(tmp_path):
+    # n = 10 pairs plus a pool of 30 or 60 leave fewer than 100 points to draw from
+    out = tmp_path / "run"
+    assert main(["benchmark", "--out", str(out), "--sizes", "30,60", "--repeats", "1"]) == 0
+    assert _read_record(out / "result.txt")["b"] == "40,70"
+
+
 @pytest.mark.parametrize("sizes", ["100", "100,100", "abc,100", "0,100"])
 def test_benchmark_needs_two_sizes(tmp_path, capsys, sizes):
     assert main(["benchmark", "--out", str(tmp_path / "o"), "--sizes", sizes]) == 2
@@ -783,6 +809,31 @@ def test_replay_redirects_any_spelling_of_out(tmp_path, capsys, spelling):
     assert main(["replay", str(first / "manifest.json"), "--out", str(second)]) == 0
     assert "result.txt: ok" in capsys.readouterr().out
     assert (second / "plan.csv").read_bytes() == (first / "plan.csv").read_bytes()
+
+
+def test_replay_stops_at_a_failed_rerun(tmp_path, capsys):
+    # the infeasible estimate run of test_infeasible_final_plan_exits_3_after_writing_outputs
+    first = tmp_path / "first"
+    argv = ["estimate", "--out", str(first), "--synthetic", "linear",
+            "--n", "8", "--nx", "15", "--ny", "12", "--b", "6", "--epsilon", "1e-4",
+            "--lambda", "1e-3", "--beta", "0.8", "--seed", "1"]
+    with pytest.warns(RuntimeWarning, match="sweep cap"):
+        assert main(argv) == 3
+        capsys.readouterr()
+        assert main(["replay", str(first / "manifest.json"), "--out", str(tmp_path / "second")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.endswith("replay: re-run failed with exit code 3\n")
+    assert "ok" not in captured.out
+
+
+def test_replay_skips_timing_outputs(tmp_path, capsys):
+    first = tmp_path / "first"
+    argv = ["benchmark", "--out", str(first), "--sizes", "30,60", "--repeats", "1"]
+    assert main(argv) == 0
+    assert main(["replay", str(first / "manifest.json"), "--out", str(tmp_path / "second")]) == 0
+    out = capsys.readouterr().out
+    for name in ("benchmark.csv", "result.txt"):
+        assert f"replay: {name}: skipped (timing-dependent)" in out
 
 
 def test_replay_detects_tampering(tmp_path, capsys):

@@ -12,6 +12,7 @@ from semismi import (
     make_semi_supervised,
     split_features,
 )
+from semismi.data import index_pairs, split_pairs
 
 
 # ------------------------------------------------------------- SyntheticSpec
@@ -188,6 +189,60 @@ def test_split_features_partitions_columns():
     assert xs.shape == (50, 2) and ys.shape == (50, 4)
     combined = {tuple(c) for c in np.vstack([xs.T, ys.T])}
     assert combined == {tuple(c) for c in table.T}
+
+
+# ------------------------------------------------------ index pairs
+
+
+def test_index_pairs_gives_int_pairs():
+    pairs = index_pairs([(1.0, 3.0), (np.int64(0), 2)], "anchors")
+    assert pairs.dtype.kind == "i"
+    assert pairs.tolist() == [[1, 3], [0, 2]]
+    assert index_pairs([], "anchors").shape == (0, 2)
+    assert index_pairs(np.empty((0, 2)), "anchors").shape == (0, 2)
+
+
+@pytest.mark.parametrize("values", [[0, 1], [(0, 1, 2)], np.zeros((1, 2, 1)), np.zeros((2, 0))])
+def test_index_pairs_rejects_anything_but_two_columns(values):
+    with pytest.raises(ValueError, match="^truth must have two columns$"):
+        index_pairs(values, "truth")
+
+
+@pytest.mark.parametrize("bad", [1.7, -0.5, np.nan, np.inf])
+def test_index_pairs_names_the_entry_that_is_not_a_whole_number(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"truth has an entry that is not a whole number: {bad}$"):
+            index_pairs([(0, 1), (2, bad)], "truth")
+
+
+@pytest.mark.parametrize("huge", [1e20, -(2.0**63)])
+def test_index_pairs_rejects_an_entry_past_int64(huge):
+    # casting it to int would wrap it, silently or with a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^truth has an entry too large for an index: "):
+            index_pairs([(0, 1), (huge, 2)], "truth")
+
+
+def test_split_pairs_keeps_pairs_in_order_and_pools_in_table_order():
+    x = np.arange(5.0)[:, None]
+    y = np.arange(4.0)[:, None] * 10.0
+    data, x_rows, y_rows = split_pairs(x, y, index_pairs([(3, 0), (1, 2)], "p"), "p")
+    assert data.paired_x[:, 0].tolist() == [3.0, 1.0]
+    assert data.paired_y[:, 0].tolist() == [0.0, 20.0]
+    assert (x_rows, y_rows) == ([0, 2, 4], [1, 3])
+    np.testing.assert_array_equal(data.unpaired_x, x[x_rows])
+    np.testing.assert_array_equal(data.unpaired_y, y[y_rows])
+    data, x_rows, y_rows = split_pairs(x, y, index_pairs([], "p"), "p")
+    assert (data.n, x_rows, y_rows) == (0, [0, 1, 2, 3, 4], [0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("pairs, side", [([(0, 0), (0, 1)], "x"), ([(0, 1), (2, 1)], "y")])
+def test_split_pairs_rejects_a_row_named_twice(pairs, side):
+    table = np.arange(4.0)[:, None]
+    with pytest.raises(ValueError, match=f"^--paired repeats a {side} row$"):
+        split_pairs(table, table, index_pairs(pairs, "--paired"), "--paired")
 
 
 # ------------------------------------------------------ make_semi_supervised

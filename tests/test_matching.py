@@ -119,6 +119,12 @@ def test_topk_monotone_in_k():
     assert accs[-1] == 1.0
 
 
+def test_topk_rejects_a_truth_index_that_is_not_a_whole_number():
+    # int() used to truncate 0.9 and 1.5 to a true pair of a 2x2 plan
+    with pytest.raises(ValueError, match="truth has an entry that is not a whole number: 0.9"):
+        topk_accuracy(np.eye(2) / 2, [(0.9, 0.2), (1.5, 1.0)], 1)
+
+
 def test_topk_validation():
     with pytest.raises(ValueError, match="k must be"):
         topk_accuracy(np.eye(2), [(0, 0)], k=0)
@@ -145,6 +151,21 @@ def test_grid_spec_validation():
         GridSpec(positions, [(0, 1), (2, 1)])
     with pytest.raises(ValueError, match="out of range"):
         GridSpec(positions, [(0, 4)])
+
+
+def test_grid_spec_rejects_an_anchor_that_is_not_a_whole_number():
+    # int() used to truncate 1.7 to item 1
+    with pytest.raises(ValueError, match="anchors has an entry that is not a whole number: 1.7"):
+        GridSpec(_square_grid(2), [(1.7, 0.0), (2.0, 3.0)])
+    with pytest.raises(ValueError, match="anchors must have two columns"):
+        GridSpec(_square_grid(2), [(0, 1, 2)])
+
+
+def test_grid_fits_without_anchors_at_beta_zero():
+    # a fit with beta > 0 needs paired samples, and only anchors give them
+    config = EstimatorConfig(beta=0.7)
+    assert GridSpec(_square_grid(2), []).fit_config(config) == EstimatorConfig(beta=0.0)
+    assert GridSpec(_square_grid(2), [(0, 1)]).fit_config(config) is config
 
 
 def test_normalize_positions_standardizes_each_axis():
