@@ -25,6 +25,11 @@ is S checked entry by entry, and one log-domain sweep forms the
 kernel again.  The plan's entropy follows from those potentials:
 log pi_ij = phi_i + S_ij + psi_j, so no logarithm of the plan is taken.
 
+A solve ends in one of three ways: converged; at the sweep cap, with a
+finite plan, a warning and its actual marginal violation; or with a
+ValueError naming beta and epsilon, when S has non-finite entries or a
+sweep's scalings leave the range of doubles.
+
 Slow solves switch to over-relaxed sweeps, u <- u^(1-w) (a / G v)^w and
 likewise for v (Thibault, Chizat, Dossal and Papadakis, arXiv 1711.01851;
 Lehmann, von Renesse, Sambale and Uschmajew, arXiv 2012.12562).  Every
@@ -190,9 +195,10 @@ def sinkhorn_solve(
     own marginals then decide ``converged``.  Hitting the sweep cap
     ``MAX_SWEEPS`` first returns the current plan with
     ``converged=False``, its actual marginal violation in
-    ``marginal_error`` and a warning rather than an error.  Both
-    constants are read at each call.  ``epsilon`` is checked by
-    ``EstimatorConfig``, not here.
+    ``marginal_error`` and a warning rather than an error; a sweep whose
+    scalings leave the range of doubles raises a ``ValueError`` naming
+    beta and epsilon, without a numpy warning.  Both constants are read
+    at each call.  ``epsilon`` is checked by ``EstimatorConfig``, not here.
 
     The dual potentials start from ``potentials``, a (row, column)
     pair: a previous solve's on a nearby reward, or the independent
@@ -258,12 +264,11 @@ def sinkhorn_solve(
 
         The b x n_x product K * scale * alpha lives only for the GEMM.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul((K * scaled_alpha[:, None]).T, L, out=M)
-            if p is not None:
-                np.add(M, p[:, None], out=M)
-            if q is not None:
-                np.add(M, q[None, :], out=M)
+        np.matmul((K * scaled_alpha[:, None]).T, L, out=M)
+        if p is not None:
+            np.add(M, p[:, None], out=M)
+        if q is not None:
+            np.add(M, q[None, :], out=M)
 
     a = 1.0 / n_x
     b = 1.0 / n_y
@@ -274,34 +279,20 @@ def sinkhorn_solve(
     uv = np.ones(n_x + n_y)
     u, v = uv[:n_x], uv[n_x:]
 
-    def rebuild():
-        """One log-space sweep into the potentials, then u = v = 1 and the
-        kernel, whose columns it balances exactly; returns M v.  Safe for
-        any potential/cost magnitudes."""
-        log_kernel(None, psi)
-        phi[:] = -np.log(n_x) - _logsumexp(M, axis=1)
-        log_kernel(phi, None)
-        psi[:] = -np.log(n_y) - _logsumexp(M, axis=0)
-        log_kernel(phi, psi)
-        np.exp(M, out=M)
-        uv.fill(1.0)
-        return M.dot(v)
-
     def absorbed_kernel():
         """u = v = 1 and M = exp(phi + S + psi); returns M v and the sweeps taken.
 
         That kernel is usable as it stands unless the potentials overflow
         it or leave a row or column empty; its row sums are the next
-        sweep's M v.  Otherwise S alone is checked, and one log-domain
-        sweep forms the kernel again.
+        sweep's M v.  Otherwise S alone is checked, and one log-space sweep,
+        safe at any magnitude, sets the potentials and forms the kernel.
         """
         uv.fill(1.0)
         log_kernel(phi, psi)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.exp(M, out=M)
-            Kv = M.dot(v)
-            if _positive_finite(Kv) and _positive_finite(M_T.dot(u)):
-                return Kv, 0
+        np.exp(M, out=M)
+        Kv = M.dot(v)
+        if _positive_finite(Kv) and _positive_finite(M_T.dot(u)):
+            return Kv, 0
         # Row and column maxima are finite exactly when S has no NaN or
         # +inf and no row or column that is all -inf.
         log_kernel(None, None)
@@ -310,75 +301,82 @@ def sinkhorn_solve(
                 f"scaled reward (1 - beta) C / epsilon has non-finite entries "
                 f"(beta={beta!r}, epsilon={epsilon!r})"
             )
-        return rebuild(), 1
+        log_kernel(None, psi)
+        phi[:] = -np.log(n_x) - _logsumexp(M, axis=1)
+        log_kernel(phi, None)
+        psi[:] = -np.log(n_y) - _logsumexp(M, axis=0)
+        log_kernel(phi, psi)
+        np.exp(M, out=M)
+        return M.dot(v), 1
 
-    Kv, it = absorbed_kernel()
     dev = np.empty(n_y)
     row_step = np.empty(n_x)
     converged = False
-    err = np.inf
     # omega > 1 while relaxing; may_relax turns False once a relaxed run
     # has met the column tolerance, so the solve ends with a plain sweep.
     omega = 1.0
     may_relax = True
     last_err = last_ratio = err_at_switch = np.inf
-    while it < MAX_SWEEPS:
-        it += 1
-        if omega == 1.0:
-            np.divide(a, Kv, out=u)
-        else:
-            # u <- u (a / rowsum)^omega = u^(1 - omega) (a / Kv)^omega
-            np.multiply(u, Kv, out=row_step)
-            np.divide(a, row_step, out=row_step)
-            u *= np.power(row_step, omega, out=row_step)
-        col_weights = M_T.dot(u)
-        # violation of the column marginals before v rebalances them
-        np.multiply(v, col_weights, out=dev)
-        err = max(_max(dev) - b, b - _min(dev))
-        if err <= tol and omega != 1.0:
-            # A relaxed u leaves the rows inexact and the total mass off
-            # by up to n_x * tol, which moves the recorded objective by
-            # more than its monotonicity allows.  End on a plain sweep:
-            # rows exact (M v is current), then the column test.
-            omega = 1.0
-            may_relax = False
-            continue
-        if err <= tol:
-            converged = True
-            break
-        if not err < np.inf:
-            Kv = rebuild()
-            omega = 1.0
-            last_err = last_ratio = np.inf
-            continue
-        if omega == 1.0:
-            if may_relax:
-                ratio = err / last_err
-                if (
-                    RELAX_RATE_FLOOR < ratio < 1.0
-                    and abs(ratio - last_ratio) < RELAX_SETTLED
-                    and err * ratio**RELAX_MIN_LEFT > tol
-                ):
-                    omega = min(2.0 / (1.0 + math.sqrt(1.0 - ratio)), RELAX_OMEGA_CAP)
-                    err_at_switch = err
-                last_ratio = ratio
-                last_err = err
-        elif err > RELAX_FALLBACK * err_at_switch:
-            omega = 1.0
-            last_err = last_ratio = np.inf
-        if omega == 1.0:
-            np.divide(b, col_weights, out=v)
-        else:
-            # dev holds the column sums, so likewise v <- v (b / colsum)^omega
-            np.divide(b, dev, out=dev)
-            v *= np.power(dev, omega, out=dev)
-        if _max(uv) > _ABSORB_HIGH or _min(uv) < _ABSORB_LOW:
-            phi += np.log(u)
-            psi += np.log(v)
-            Kv, rebuilt = absorbed_kernel()
-            it += rebuilt
-        else:
-            Kv = M.dot(v)
+    # One errstate per solve: the kernel step and the sweep test handle overflow.
+    with np.errstate(all="ignore"):
+        Kv, it = absorbed_kernel()
+        while it < MAX_SWEEPS:
+            it += 1
+            if omega == 1.0:
+                np.divide(a, Kv, out=u)
+            else:
+                # u <- u (a / rowsum)^omega = u^(1 - omega) (a / Kv)^omega
+                np.multiply(u, Kv, out=row_step)
+                np.divide(a, row_step, out=row_step)
+                u *= np.power(row_step, omega, out=row_step)
+            col_weights = M_T.dot(u)
+            # violation of the column marginals before v rebalances them
+            np.multiply(v, col_weights, out=dev)
+            err = max(_max(dev) - b, b - _min(dev))
+            if err <= tol and omega != 1.0:
+                # A relaxed u leaves the rows inexact and the total mass off
+                # by up to n_x * tol, which moves the recorded objective by
+                # more than its monotonicity allows.  End on a plain sweep:
+                # rows exact (M v is current), then the column test.
+                omega = 1.0
+                may_relax = False
+                continue
+            if err <= tol:
+                converged = True
+                break
+            if not err < np.inf:
+                raise ValueError(
+                    f"Sinkhorn scalings left the range of doubles at sweep {it} "
+                    f"(beta={beta!r}, epsilon={epsilon!r})"
+                )
+            if omega == 1.0:
+                if may_relax:
+                    ratio = err / last_err
+                    if (
+                        RELAX_RATE_FLOOR < ratio < 1.0
+                        and abs(ratio - last_ratio) < RELAX_SETTLED
+                        and err * ratio**RELAX_MIN_LEFT > tol
+                    ):
+                        omega = min(2.0 / (1.0 + math.sqrt(1.0 - ratio)), RELAX_OMEGA_CAP)
+                        err_at_switch = err
+                    last_ratio = ratio
+                    last_err = err
+            elif err > RELAX_FALLBACK * err_at_switch:
+                omega = 1.0
+                last_err = last_ratio = np.inf
+            if omega == 1.0:
+                np.divide(b, col_weights, out=v)
+            else:
+                # dev holds the column sums, so likewise v <- v (b / colsum)^omega
+                np.divide(b, dev, out=dev)
+                v *= np.power(dev, omega, out=dev)
+            if _max(uv) > _ABSORB_HIGH or _min(uv) < _ABSORB_LOW:
+                phi += np.log(u)
+                psi += np.log(v)
+                Kv, rebuilt = absorbed_kernel()
+                it += rebuilt
+            else:
+                Kv = M.dot(v)
 
     pi = M
     pi *= u[:, None]

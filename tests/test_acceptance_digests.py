@@ -1,5 +1,6 @@
-"""``tools/acceptance_digests.py`` runs every acceptance command line cleanly
-and prints digests that a second run reproduces."""
+"""``tools/acceptance_digests.py`` runs every acceptance command line cleanly,
+prints digests that a second run reproduces, and prints the digests
+committed in ``tools/acceptance_digests.txt``."""
 
 import importlib.util
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "acceptance_digests.py"
+COMMITTED = ROOT / "tools" / "acceptance_digests.txt"
 
 
 def _load_tool():
@@ -39,3 +41,9 @@ def test_acceptance_digests_run_every_command_line_and_repeat(tmp_path):
     }
     assert expected <= set(lines)
     assert len(lines) == sum(len(outputs) for _, outputs in runs)
+    # no output moved: a change that moves one on purpose updates the file
+    # and lists the moved lines, before and after
+    committed = COMMITTED.read_text().splitlines()
+    moved = [f"- {line}" for line in committed if line not in lines]
+    moved += [f"+ {line}" for line in lines if line not in committed]
+    assert not moved, "outputs moved against tools/acceptance_digests.txt:\n" + "\n".join(moved)

@@ -859,9 +859,10 @@ def test_replay_detects_tampering(tmp_path, capsys):
         ({"argv": ["estimate", "--out", "o"]}, "'outputs'"),
         ({"argv": ["estimate", "--out", "o"], "outputs": {"result.txt": {}}}, "'sha256'"),
         ({"argv": ["estimate", "--out"], "outputs": {}}, "--out"),
+        (["estimate", "--out", "o"], "'argv'"),
     ],
     ids=["no-argv", "argv-not-a-list", "argv-not-strings", "argv-empty", "argv-is-a-replay", "no-outputs", "output-without-sha256",
-         "out-without-value"],
+         "out-without-value", "not-an-object"],
 )
 def test_replay_rejects_malformed_manifest(tmp_path, capsys, manifest, missing):
     path = tmp_path / "manifest.json"

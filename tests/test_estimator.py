@@ -55,6 +55,29 @@ def test_sample_set_dimension_mismatch():
         SampleSet(
             np.zeros((3, 2)), np.zeros((2, 1)), np.zeros((5, 2)), np.zeros((5, 1))
         )
+    with pytest.raises(ValueError, match="^y dimension differs between paired and unpaired"):
+        SampleSet(
+            np.zeros((3, 2)), np.zeros((3, 1)), np.zeros((5, 2)), np.zeros((5, 2))
+        )
+
+
+def test_sample_set_takes_1d_arrays_as_one_column():
+    data = SampleSet(np.arange(3.0), np.arange(3.0), np.arange(5.0), np.arange(4.0))
+    assert data.pooled_x.shape == (8, 1) and data.pooled_y.shape == (7, 1)
+    np.testing.assert_array_equal(data.unpaired_x[:, 0], np.arange(5.0))
+
+
+@pytest.mark.parametrize("name", ["paired_x", "paired_y", "unpaired_x", "unpaired_y"])
+def test_sample_set_rejects_a_3d_array(name):
+    arrays = {
+        "paired_x": np.zeros((3, 2)),
+        "paired_y": np.zeros((3, 1)),
+        "unpaired_x": np.zeros((5, 2)),
+        "unpaired_y": np.zeros((4, 1)),
+    }
+    arrays[name] = arrays[name][:, :, None]
+    with pytest.raises(ValueError, match=rf"^{name} must be 1-D or 2-D, got shape \(\d, \d, 1\)$"):
+        SampleSet(**arrays)
 
 
 def test_sample_set_requires_samples_somewhere():
@@ -135,6 +158,8 @@ def test_config_validation():
             EstimatorConfig(epsilon=bad)
     with pytest.raises(ValueError):
         EstimatorConfig(max_outer_iters=0)
+    with pytest.raises(ValueError, match="^n_basis must be >= 1$"):
+        EstimatorConfig(n_basis=0)
     with pytest.raises(ValueError):
         EstimatorConfig(lam=-1.0)
     for bad in (np.nan, np.inf):

@@ -308,6 +308,8 @@ def test_basis_set_validation():
         BasisSet(np.zeros((3, 1)), np.zeros((2, 1)), 1.0, 1.0)
     with pytest.raises(ValueError, match="bandwidth"):
         BasisSet(np.zeros((2, 1)), np.ones((2, 1)), -1.0, 1.0)
+    with pytest.raises(ValueError, match="^basis must contain at least one point$"):
+        BasisSet(np.zeros((0, 1)), np.zeros((0, 1)), 1.0, 1.0)
 
 
 def test_feature_columns_identity_at_basis_points():

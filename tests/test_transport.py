@@ -1,5 +1,6 @@
 """Tests for the entropic transport-plan solver."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -150,6 +151,11 @@ def test_iteration_cap_warns_and_flags(monkeypatch):
         plan = _cold(dense(cost), 0.0)
     assert not plan.converged
     assert plan.marginal_error > transport.MARGINAL_TOL
+
+
+def test_a_plan_must_be_a_matrix():
+    with pytest.raises(ValueError, match=r"^plan must be a matrix, got shape \(3,\)$"):
+        TransportPlan(np.zeros(3), np.zeros(3), np.zeros(1), 0.0, True, 0.0, 0, np.zeros(0))
 
 
 def test_rejects_bad_inputs():
@@ -444,6 +450,36 @@ def test_log_domain_survives_extreme_costs():
     row_err = np.max(np.abs(plan.pi.sum(axis=1) - 1.0 / 15.0))
     col_err = np.max(np.abs(plan.pi.sum(axis=0) - 1.0 / 15.0))
     assert plan.marginal_error == pytest.approx(max(row_err, col_err), rel=1e-12)
+
+
+def _wide_reward(seed):
+    """A small dense reward too wide for doubles to balance at tiny epsilon."""
+    rng = np.random.default_rng(seed)
+    n_x, n_y = rng.integers(2, 12, size=2)
+    return rng.standard_normal((n_x, n_y)) * 10.0 ** rng.integers(0, 3)
+
+
+WIDE_REWARDS = {
+    **{
+        f"seed{seed}-eps{epsilon:g}": (lambda seed=seed: _wide_reward(seed), epsilon)
+        for seed in (2, 7, 8)
+        for epsilon in (1e-30, 1e-100)
+    },
+    "200x200-eps1e-30": (lambda: np.random.default_rng(2).standard_normal((200, 200)) * 100, 1e-30),
+}
+
+
+@pytest.mark.parametrize("case", WIDE_REWARDS.values(), ids=WIDE_REWARDS.keys())
+def test_scalings_that_leave_the_doubles_raise_naming_beta_and_epsilon(case):
+    # no plan of doubles balances these rewards, so the first sweep whose
+    # column violation is not finite ends the solve, before the sweep cap
+    # and with neither a numpy nor a sweep-cap warning
+    make_cost, epsilon = case
+    message = rf"range of doubles at sweep \d+ \(beta=0\.0, epsilon={re.escape(repr(epsilon))}\)$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            _cold(dense(make_cost()), 0.0, epsilon)
 
 
 def test_large_constant_shift_absorbed():

@@ -21,7 +21,10 @@ own ``src``.  One line is printed per output file,
 ``<number> <file> <first 12 hex digits of its sha256>``, followed by a
 ``(nondeterministic)`` mark for outputs the manifest does not promise
 to reproduce.  Comparing the printouts of two checkouts shows which
-outputs moved.  Exits 1 when any command line exits non-zero.
+outputs moved.  ``tools/acceptance_digests.txt`` holds the printout that
+``tests/test_acceptance_digests.py`` expects; a change that moves an
+output on purpose updates it.  Exits 1 when any command line exits
+non-zero.
 """
 
 from __future__ import annotations
