@@ -23,7 +23,6 @@ import time
 from collections.abc import Iterator
 from contextlib import contextmanager, redirect_stderr
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -62,32 +61,52 @@ def _sha256(path: Path) -> str:
 #
 # An entry x with decimal exponent k prints the 18 digits of
 # N = round(|x| * 10**(17 - k)), 10**17 <= N < 10**18, rounded half to
-# even as CPython does.  The fast path takes 10**-99 <= |x| < 10**100
-# (two exponent digits) and zeros; a row holding any other entry, or an
-# entry it cannot certify, is formatted by CPython exactly as savetxt
-# formats it.
+# even as CPython does.  The fast path takes zeros and the normal doubles
+# below 10**100 (DBL_MIN <= |x|, down to k = -308).  Below 10**-99, where
+# the exponent has three digits, 10**(17 - k) is past the largest double,
+# so |x| is first scaled by 2**_PRESCALE, which is exact, and the table
+# holds 10**(17 - k) / 2**_PRESCALE.  A row holding any other entry
+# (NaN, inf, a subnormal), or an entry it cannot certify, is formatted by
+# CPython exactly as savetxt formats it.
 
 #: entries formatted per block: bounds the writer's working memory
 #: (about 220 bytes an entry at its peak) whatever the matrix size.
 _BLOCK_ENTRIES = 1 << 12
-_K_MIN, _K_MAX = -99, 99
+_K_MIN, _K_MAX = -308, 99
+#: |x| < 10**-99 is scaled by 2**_PRESCALE: then 2**-510 <= |x| < 2**184
+#: and the scale lies between 2**-124 and 2**568, so no product of
+#: Dekker's halves leaves the normal doubles and the bound below holds.
+_PRESCALE = 512
+_DBL_MIN = float(np.finfo(np.float64).tiny)
 #: the Dekker splitter 2**27 + 1: a*_SPLIT separates a double's high
 #: and low 26-bit halves, whose pairwise products are exact.
 _SPLIT = 134217729.0
 
 
+def _ratio(k: int, shift: int = 0) -> tuple[int, int]:
+    """10**k / 2**shift as an integer numerator and denominator.
+
+    Integer true division rounds correctly, so n / d is the nearest
+    double; integers build the tables faster than Fraction.
+    """
+    return (10**k, 2**shift) if k >= 0 else (1, 10**-k * 2**shift)
+
+
 def _ceil_pow10(k: int) -> float:
     """The smallest double >= 10**k."""
-    exact = Fraction(10) ** k
-    nearest = float(exact)
-    return nearest if nearest >= exact else math.nextafter(nearest, math.inf)
+    n, d = _ratio(k)
+    nearest = n / d
+    p, q = nearest.as_integer_ratio()
+    return nearest if p * d >= n * q else math.nextafter(nearest, math.inf)
 
 
 def _scale(k: int):
-    """10**(17 - k) as a double-double hi + lo, and hi's Dekker halves."""
-    exact = Fraction(10) ** (17 - k)
-    hi = float(exact)
-    lo = float(exact - Fraction(hi))
+    """10**(17 - k), over 2**_PRESCALE for k < -99, as a double-double
+    hi + lo, and hi's Dekker halves."""
+    n, d = _ratio(17 - k, _PRESCALE if k < -99 else 0)
+    hi = n / d
+    p, q = hi.as_integer_ratio()
+    lo = (n * q - p * d) / (d * q)
     c = _SPLIT * hi
     hi_h = c - (c - hi)
     return hi, lo, hi_h, hi - hi_h
@@ -98,7 +117,7 @@ def _table(texts) -> np.ndarray:
     return np.frombuffer("".join(texts).encode(), dtype=np.uint32)
 
 
-#: entry k - _K_MIN: the smallest double >= 10**k, for k in [-99, 100].
+#: entry k - _K_MIN: the smallest double >= 10**k, for k in [-308, 100].
 _CEIL10 = np.array([_ceil_pow10(k) for k in range(_K_MIN, _K_MAX + 2)])
 #: entry k - _K_MIN of each: the four doubles of _scale(k).
 _HI, _LO, _HI_H, _HI_L = np.array([_scale(k) for k in range(_K_MIN, _K_MAX + 1)]).T.copy()
@@ -118,17 +137,20 @@ _HEADS = _table(f"{sign}{i // 10}.{i % 10}" for sign in "\0-" for i in range(100
 #: every command's peak RSS by about 0.6 MB.
 _DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 _QUADS = np.stack(np.meshgrid(*[_DIGITS] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
-_EXPONENTS = _table(f"e{k:+03d}" for k in range(_K_MIN, _K_MAX + 1))
+#: entry k - _K_MIN: an exponent's first four characters ("e-30" of e-308)
+_EXPONENTS = _table(f"e{k:+03d}"[:4] for k in range(_K_MIN, _K_MAX + 1))
 
 
 def _digits(x: np.ndarray):
-    """The flat entries ``x`` (zeros or 10**-99 <= |x| < 10**100) as
+    """The flat entries ``x`` (zeros or DBL_MIN <= |x| < 10**100) as
     %.17e fields.
 
-    Returns (chars, negative, certain).  Row i of the (len(x), 28) uint8
-    chars holds the sign or NUL in column 0, the field's other 23
-    characters in columns 1-23, a comma in column 24 and padding after
-    it.  certain is False where the fast path cannot vouch for N.
+    Returns (chars, negative, long, certain).  Row i of the (len(x), 28)
+    uint8 chars holds the sign or NUL in column 0, the field's other 23
+    characters in columns 1-23, then a comma, or where long is True (a
+    three-digit exponent) the exponent's last digit and a comma, and
+    padding after it.  certain is False where the fast path cannot vouch
+    for N.
     """
     ax = np.abs(x)
     zero = ax == 0.0
@@ -138,6 +160,10 @@ def _digits(x: np.ndarray):
     k -= ax < _CEIL10[k - _K_MIN]
     k += ax >= _CEIL10[k + 1 - _K_MIN]
     row = k - _K_MIN
+    long = k < -99
+    some_long = long.any()
+    if some_long:
+        ax[long] *= 2.0**_PRESCALE
     p1 = ax * _HI[row]
     c = _SPLIT * ax
     ax_h = c - (c - ax)
@@ -168,23 +194,29 @@ def _digits(x: np.ndarray):
     words[:, 2] = _QUADS[upper % 10**4]
     words[:, 3] = _QUADS[lower // 10**4]
     words[:, 4] = _QUADS[lower % 10**4]
-    words[:, 5] = _EXPONENTS[k - _K_MIN]
+    words[:, 5] = _EXPONENTS[row]
     chars = words.view(np.uint8)
     chars[:, 24] = ord(",")
-    return chars, negative, certain
+    if some_long:
+        chars[long, 24] = ord("0") + -k[long] % 10
+        chars[:, 25] = ord(",")
+    return chars, negative, long, certain
 
 
 def _matrix_rows(block: np.ndarray, row_format: str) -> bytes:
     """The savetxt text of the rows of ``block``, which has columns."""
     ax = np.abs(block)
-    eligible = ((ax >= _CEIL10[0]) & (ax < _CEIL10[-1]) | (ax == 0.0)).all(axis=1)
+    eligible = ((ax >= _DBL_MIN) & (ax < _CEIL10[-1]) | (ax == 0.0)).all(axis=1)
     cols = block.shape[1]
-    chars, negative, certain = _digits(block[eligible].ravel())
-    chars.reshape(-1, cols, 28)[:, -1, 24] = ord("\n")
-    if negative.any():
+    chars, negative, long, certain = _digits(block[eligible].ravel())
+    # a row's last field ends in a newline instead of its comma
+    last = chars.reshape(-1, cols, 28)[:, -1]
+    last[np.arange(last.shape[0]), 24 + long.reshape(-1, cols)[:, -1]] = ord("\n")
+    if negative.any() or long.any():
         keep = np.zeros(chars.shape, dtype=bool)
         keep[:, 0] = negative
         keep[:, 1:25] = True
+        keep[:, 25] = long
         text = chars[keep].tobytes()
     else:
         text = chars[:, 1:25].tobytes()
@@ -192,7 +224,8 @@ def _matrix_rows(block: np.ndarray, row_format: str) -> bytes:
     if eligible.all() and sure.all():
         return text
     # a row for CPython: cut the fast text into its rows
-    ends = np.cumsum(24 * cols + negative.reshape(-1, cols).sum(axis=1)).tolist()
+    extra = negative.reshape(-1, cols).sum(axis=1) + long.reshape(-1, cols).sum(axis=1)
+    ends = np.cumsum(24 * cols + extra).tolist()
     fast = iter(zip([0] + ends, ends, sure.tolist()))
     pieces = []
     for row, ok in zip(block, eligible.tolist()):

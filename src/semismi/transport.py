@@ -27,8 +27,9 @@ log pi_ij = phi_i + S_ij + psi_j, so no logarithm of the plan is taken.
 
 A solve ends in one of three ways: converged; at the sweep cap, with a
 finite plan, a warning and its actual marginal violation; or with a
-ValueError naming beta and epsilon, when S has non-finite entries or a
-sweep's scalings leave the range of doubles.
+ValueError naming beta and epsilon, when S has non-finite entries, a
+sweep's scalings leave the range of doubles, or a capped plan's
+entropy or feature mass does.  None of them raises a numpy warning.
 
 Slow solves switch to over-relaxed sweeps, u <- u^(1-w) (a / G v)^w and
 likewise for v (Thibault, Chizat, Dossal and Papadakis, arXiv 1711.01851;
@@ -195,8 +196,9 @@ def sinkhorn_solve(
     own marginals then decide ``converged``.  Hitting the sweep cap
     ``MAX_SWEEPS`` first returns the current plan with
     ``converged=False``, its actual marginal violation in
-    ``marginal_error`` and a warning rather than an error; a sweep whose
-    scalings leave the range of doubles raises a ``ValueError`` naming
+    ``marginal_error`` and a warning rather than an error, unless that
+    plan's entropy or feature mass is not finite; that, or a sweep whose
+    scalings leave the range of doubles, raises a ``ValueError`` naming
     beta and epsilon, without a numpy warning.  Both constants are read
     at each call.  ``epsilon`` is checked by ``EstimatorConfig``, not here.
 
@@ -317,7 +319,8 @@ def sinkhorn_solve(
     omega = 1.0
     may_relax = True
     last_err = last_ratio = err_at_switch = np.inf
-    # One errstate per solve: the kernel step and the sweep test handle overflow.
+    # One errstate per solve: the kernel step, the sweep test and the check
+    # of a capped plan below handle overflow.
     with np.errstate(all="ignore"):
         Kv, it = absorbed_kernel()
         while it < MAX_SWEEPS:
@@ -378,19 +381,24 @@ def sinkhorn_solve(
             else:
                 Kv = M.dot(v)
 
-    pi = M
-    pi *= u[:, None]
-    pi *= v
-    phi += np.log(u)
-    psi += np.log(v)
-    # log pi_ij = phi_i + S_ij + psi_j, weighted by the plan's actual
-    # row and column sums (products with ones: one streaming pass each);
-    # <pi, S> = scale * alpha^T m
-    rows = pi.dot(np.ones(n_y))
-    cols = pi.T.dot(np.ones(n_x))
-    mass = weighted_feature_sum(K, L, pi)
-    entropy = float(phi @ rows + psi @ cols + scale * (alpha @ mass) - rows.sum())
+        pi = M
+        pi *= u[:, None]
+        pi *= v
+        phi += np.log(u)
+        psi += np.log(v)
+        # log pi_ij = phi_i + S_ij + psi_j, weighted by the plan's actual
+        # row and column sums (products with ones: one streaming pass each);
+        # <pi, S> = scale * alpha^T m
+        rows = pi.dot(np.ones(n_y))
+        cols = pi.T.dot(np.ones(n_x))
+        mass = weighted_feature_sum(K, L, pi)
+        entropy = float(phi @ rows + psi @ cols + scale * (alpha @ mass) - rows.sum())
     if not converged:
+        if not (math.isfinite(entropy) and np.isfinite(mass).all()):
+            raise ValueError(
+                f"Sinkhorn plan left the range of doubles at the sweep cap ({MAX_SWEEPS}) "
+                f"(beta={beta!r}, epsilon={epsilon!r})"
+            )
         err = max(_max(np.abs(rows - a)), _max(np.abs(cols - b)))
         if err <= tol:
             converged = True

@@ -266,16 +266,31 @@ def test_estimate_names_the_side_with_too_few_samples(tmp_path, capsys, nx, ny, 
     assert capsys.readouterr().err.startswith(f"error: {side} side has 1 sample: insufficient samples")
 
 
-def test_estimate_names_the_scaled_reward_when_epsilon_is_too_small(tmp_path, capsys):
-    argv = ["estimate", "--out", str(tmp_path / "o"), "--synthetic", "linear",
+def _tiny_epsilon_argv(tmp_path, epsilon):
+    return ["estimate", "--out", str(tmp_path / "o"), "--synthetic", "linear",
             "--n", "10", "--nx", "30", "--ny", "30", "--lambda", "1e-3", "--beta", "0.5",
-            "--epsilon", "1e-20"]
+            "--epsilon", epsilon]
+
+
+def test_estimate_names_the_overflowing_solve_when_epsilon_is_too_small(tmp_path, capsys):
+    # the first solve runs to its sweep cap with finite scalings, but its
+    # plan's entropy overflows: that solve ends the run, naming its beta
+    # and epsilon, with no numpy or sweep-cap warning
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert main(argv) == 2
+        warnings.simplefilter("error")
+        assert main(_tiny_epsilon_argv(tmp_path, "1e-20")) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: scaled reward (1 - beta) C / epsilon has non-finite entries")
-    assert "beta=0.5" in err and "epsilon=1e-20" in err
+    assert err == (
+        "error: Sinkhorn plan left the range of doubles at the sweep cap (1000) "
+        "(beta=0.5, epsilon=1e-20)\n"
+    )
+
+
+@pytest.mark.parametrize("epsilon", ["1e-6", "1e-10", "1e-15"])
+def test_estimate_at_a_small_but_finite_epsilon_exits_3(tmp_path, capsys, epsilon):
+    with pytest.warns(RuntimeWarning, match="sweep cap"):
+        assert main(_tiny_epsilon_argv(tmp_path, epsilon)) == 3
+    assert capsys.readouterr().err.startswith("infeasible plan: marginal error ")
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):

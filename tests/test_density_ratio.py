@@ -14,6 +14,7 @@ from semismi.density_ratio import (
     SOLVE_RTOL,
     RidgeSystem,
     mixed_linear_term,
+    paired_linear_term,
     quadratic_term,
     ratio_cross,
     ratio_pairs,
@@ -139,6 +140,30 @@ def test_solve_alpha_jitter_rescues_singular_system():
     # a positive ridge gives the plain regularized solution
     alpha = solve_alpha(H, h, 0.1)
     np.testing.assert_allclose((H + 0.1 * np.eye(2)) @ alpha, h, atol=1e-10)
+
+
+def test_jitter_rescues_a_solve_whose_alpha_overflows():
+    # at a subnormal lam, 1 / (w + lam) overflows on H's zero eigenvalue;
+    # that alpha is not finite, so the jittered ridge solves instead
+    jitter = JITTER_SCALE * 0.5  # trace(H) / b
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha, _ = RidgeSystem(np.diag([1.0, 0.0]), 5e-324).solve([1.0, 1.0])
+    np.testing.assert_allclose(alpha, [1.0 / (1.0 + jitter), 1.0 / jitter], rtol=1e-12)
+
+
+SHAPE_ERRORS = {
+    "basis-rows": (lambda: quadratic_term(np.ones((2, 3)), np.ones((3, 3))), "same number of basis rows"),
+    "empty-side": (lambda: quadratic_term(np.ones((2, 0)), np.ones((2, 3))), "at least one sample per side"),
+    "paired-blocks": (lambda: paired_linear_term(np.ones((2, 3)), np.ones((2, 4)), 0.5), "share shape"),
+    "non-square-H": (lambda: RidgeSystem(np.ones((2, 3)), 0.1), r"square matrix, got shape \(2, 3\)"),
+    "h-length": (lambda: RidgeSystem(np.eye(2), 0.1).solve(np.ones(3)), "^h has length 3, expected 2$"),
+}
+
+
+@pytest.mark.parametrize("call, message", SHAPE_ERRORS.values(), ids=SHAPE_ERRORS.keys())
+def test_mismatched_shapes_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_solve_alpha_unsalvageable_system_raises():

@@ -93,6 +93,7 @@ def test_sample_set_allows_empty_pools():
     )
     assert data.n == 4 and data.n_x == 0 and data.n_y == 0
     assert data.pooled_x.shape == (4, 2)
+    assert data.pooled_y is data.paired_y
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

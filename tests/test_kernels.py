@@ -20,7 +20,7 @@ from semismi.kernels import (
     sample_basis,
 )
 
-DIMS = [1, 2, 7, 8, 32, 64]
+DIMS = [1, 2, 7, 8, 32, 64, 512]
 
 
 def test_median_heuristic_single_pair():
@@ -98,18 +98,93 @@ def _scipy_median_heuristic(pts, seed=0):
     return float(np.median(pdist(pts))) / float(np.sqrt(2.0))
 
 
+def _module_pairs(pts, seed=0):
+    """The pool median_heuristic selects from, and its pair values as the
+    module forms them, in pdist's order."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.shape[0] > MAX_POINTS:
+        rng = np.random.default_rng(seed)
+        pts = pts[rng.choice(pts.shape[0], size=MAX_POINTS, replace=False)]
+    values = np.concatenate([block[~np.isnan(block)] for block in kernels._upper_blocks(pts)])
+    return pts, values
+
+
+def assert_within_the_bound(values, a, b, rows, cols):
+    """|values - d^2| <= 8 d u (|a_r - m|^2 + |b_c - m|^2) for each pair
+    (r, c) of ``rows`` and ``cols``, the bound the kernels docstring
+    states for the GEMM side, with m the mean of a; exact zeros stay
+    exact.  d^2 is summed in np.longdouble from the uncentred points."""
+    mean = a.mean(axis=0)
+    bound = 8.0 * a.shape[1] * 2.0**-53
+    step = max(1, (1 << 20) // a.shape[1])
+    for s in range(0, rows.size, step):
+        r, c = rows[s : s + step], cols[s : s + step]
+        diff = a[r].astype(np.longdouble) - b[c]
+        exact = np.einsum("ij,ij->i", diff, diff)
+        norms = ((a[r] - mean) ** 2).sum(axis=1) + ((b[c] - mean) ** 2).sum(axis=1)
+        excess = np.abs(values[s : s + step] - exact) - bound * norms
+        assert excess.max() <= 0.0, f"bound exceeded by {float(excess.max()):.3e}"
+        assert (values[s : s + step][exact == 0.0] == 0.0).all()
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e8], ids=["centred", "offset-1e8"])
 @pytest.mark.parametrize("d", DIMS)
 def test_gaussian_gram_has_cdists_bits(d, offset):
-    # 2100 points span several row blocks; one point repeats a centre
+    # 2100 points span several row blocks; one point repeats a centre.
+    # From GEMM_MIN_DIM coordinates the distances meet the stated bound
+    # instead of cdist's bits, and the gram is formed from them.
     rng = np.random.default_rng(d)
     centers = rng.standard_normal((60, d)) + offset
     points = rng.standard_normal((2100, d)) + offset
     points[17] = centers[3]
-    d2 = cdist(centers, points, "sqeuclidean")
-    assert (_squared_distances(centers, points) == d2).all()
     sigma = 0.9 * np.sqrt(d)
+    if d < kernels.GEMM_MIN_DIM:
+        d2 = cdist(centers, points, "sqeuclidean")
+        assert (_squared_distances(centers, points) == d2).all()
+    else:
+        d2 = _squared_distances(centers, points)
+        # at d = 512 every fourth centre keeps the longdouble sums short
+        stride = 4 if d > 64 else 1
+        rows, cols = np.indices(d2[::stride].shape).reshape(2, -1)
+        rows *= stride
+        assert_within_the_bound(d2[rows, cols], centers, points, rows, cols)
+        assert d2[3, 17] == 0.0
     assert (gaussian_gram(centers, points, sigma) == np.exp(-d2 / (2.0 * sigma * sigma))).all()
+
+
+def test_gaussian_gram_of_non_finite_points_keeps_cdists_values():
+    # centring by a non-finite mean would spread a NaN over the whole gram,
+    # and an infinite point would come out at distance 0
+    rng = np.random.default_rng(11)
+    centers = rng.standard_normal((5, 8))
+    points = rng.standard_normal((7, 8))
+    points[2, 0], points[4, 3] = np.inf, np.nan
+    d2 = cdist(centers, points, "sqeuclidean")
+    np.testing.assert_array_equal(gaussian_gram(centers, points, 1.0), np.exp(-d2 / 2.0))
+    centers[1, 5] = np.nan
+    d2 = cdist(centers, points, "sqeuclidean")
+    np.testing.assert_array_equal(gaussian_gram(centers, points, 1.0), np.exp(-d2 / 2.0))
+
+
+def _pairs_to_check(pts, limit=50_000):
+    """Every pair (i < j) of the pool, or a seeded sample of ``limit``
+    of them plus every pair of coincident points."""
+    n = pts.shape[0]
+    count = n * (n - 1) // 2
+    if count <= limit:
+        return np.triu_indices(n, k=1)
+    rows, cols = np.random.default_rng(n).integers(n, size=(2, limit))
+    _, group = np.unique(pts, axis=0, return_inverse=True)
+    same = np.flatnonzero(np.bincount(group)[group] > 1)
+    rows = np.concatenate([rows, np.repeat(same, same.size)])
+    cols = np.concatenate([cols, np.tile(same, same.size)])
+    keep = (rows < cols) & ((group[rows] == group[cols]) | (np.arange(rows.size) < limit))
+    return rows[keep], cols[keep]
+
+
+def _triangle_index(rows, cols, n):
+    """Position of pair (rows, cols), rows < cols, in pdist's order."""
+    return rows * (2 * n - rows - 1) // 2 + cols - rows - 1
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e8], ids=["centred", "offset-1e8"])
@@ -118,11 +193,68 @@ def test_gaussian_gram_has_cdists_bits(d, offset):
     "n", [2, 3, 4, 6, 101, 102, 2500], ids=lambda n: f"n{n}"
 )  # pair counts 1, 3, 6, 15, 5050, 5151; 2500 > MAX_POINTS subsamples to 2000
 def test_median_heuristic_has_pdists_bits(n, d, offset):
+    # From GEMM_MIN_DIM coordinates the pair values meet the stated bound
+    # and the bandwidth is, bit for bit, the median of the module's own
+    # pair values
     rng = np.random.default_rng(1000 * d + n)
     pts = rng.standard_normal((n, d)) + offset
     if n > 10:
         pts[n // 2 :: 7] = pts[1]  # duplicates: zero distances
-    assert median_heuristic(pts, seed=5) == _scipy_median_heuristic(pts, seed=5)
+    if d < kernels.GEMM_MIN_DIM:
+        assert median_heuristic(pts, seed=5) == _scipy_median_heuristic(pts, seed=5)
+        return
+    pool, values = _module_pairs(pts, seed=5)
+    expected = float(np.median(np.sqrt(values))) / float(np.sqrt(2.0))
+    assert median_heuristic(pts, seed=5) == expected
+    rows, cols = _pairs_to_check(pool)
+    picked = values[_triangle_index(rows, cols, pool.shape[0])]
+    assert_within_the_bound(picked, pool, pool, rows, cols)
+
+
+@pytest.mark.parametrize("d", [4, 5, 8, 17, 64])
+def test_a_duplicate_pair_among_distinct_points_is_exactly_zero(d):
+    # the GEMM form leaves rounding error on a coincident pair; it must
+    # come out exactly 0 in the gram's distances and in the median's
+    for trial in range(8):
+        rng = np.random.default_rng(100 * d + trial)
+        offset = [0.0, 1.0, 1e4, 1e8][trial % 4]
+        pts = rng.standard_normal((300, d)) * rng.uniform(0.1, 10.0) + offset
+        i, j = sorted(rng.choice(300, size=2, replace=False))
+        pts[j] = pts[i]
+        d2 = _squared_distances(pts[::3], pts)
+        rows, cols = np.nonzero(d2 == 0.0)
+        assert sorted(zip(3 * rows, cols)) == sorted(
+            {(r, r) for r in range(0, 300, 3)} | {(a, b) for a in (i, j) for b in (i, j) if a % 3 == 0}
+        )
+        assert (gaussian_gram(pts[::3], pts, 1.0)[d2 == 0.0] == 1.0).all()
+        _, values = _module_pairs(pts)
+        assert np.flatnonzero(values == 0.0).tolist() == [_triangle_index(i, j, 300)]
+
+
+def test_squared_distances_switch_to_one_gemm_at_four_coordinates(monkeypatch):
+    # the same pool in 3 and in 4 coordinates (a constant fourth): d = 3
+    # keeps cdist's bits, d = 4 is formed by the GEMM within the bound
+    assert kernels.GEMM_MIN_DIM == 4
+    pts3 = np.random.default_rng(34).standard_normal((400, 3)) + 1e3
+    pts4 = np.column_stack([pts3, np.full(400, 7.0)])
+    calls = []
+    for name in ("_add_squares", "_gemm_squares"):
+        fill = getattr(kernels, name)
+        monkeypatch.setattr(
+            kernels, name, lambda *args, _name=name, _fill=fill: calls.append(_name) or _fill(*args)
+        )
+    d3 = _squared_distances(pts3[:50], pts3)
+    assert set(calls) == {"_add_squares"}
+    assert (d3 == cdist(pts3[:50], pts3, "sqeuclidean")).all()
+    assert median_heuristic(pts3) == _scipy_median_heuristic(pts3)
+    calls.clear()
+    d4 = _squared_distances(pts4[:50], pts4)
+    assert set(calls) == {"_gemm_squares"}
+    rows, cols = np.indices(d4.shape).reshape(2, -1)
+    assert_within_the_bound(d4.ravel(), pts4[:50], pts4, rows, cols)
+    pool, values = _module_pairs(pts4)
+    assert median_heuristic(pts4) == float(np.median(np.sqrt(values))) / float(np.sqrt(2.0))
+    assert median_heuristic(pts4) == pytest.approx(median_heuristic(pts3), rel=1e-12)
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -282,14 +414,23 @@ def test_sample_basis_points_come_from_pools():
     [
         ([[1.0]], "1 sample", "insufficient samples"),
         ([[2.0], [2.0]], "2 samples", "degenerate bandwidth"),
+        ([[0.1, 0.2, 0.3, 0.7]] * 3, "3 samples", "degenerate bandwidth"),
+        ([[1e8 / 3.0] * 32] * 5, "5 samples", "degenerate bandwidth"),
     ],
-    ids=["one-sample", "coincident"],
+    ids=["one-sample", "coincident", "coincident-4d", "coincident-32d"],
 )
 def test_sample_basis_names_the_side_without_a_bandwidth(side, pool, count, cause):
     good = [[0.0], [1.0], [3.0]]
     pools = (pool, good) if side == "x" else (good, pool)
     with pytest.raises(ValueError, match=f"^{side} side has {count}: {cause}"):
         sample_basis(*pools, 2)
+
+
+def test_sample_basis_needs_points_and_a_positive_count():
+    with pytest.raises(ValueError, match="^basis sampling pool is empty$"):
+        sample_basis(np.zeros((0, 2)), [[0.0], [1.0]], 2)
+    with pytest.raises(ValueError, match="^basis count must be >= 1, got 0$"):
+        sample_basis([[0.0], [1.0]], [[0.0], [1.0]], 0)
 
 
 def test_sample_basis_deterministic():

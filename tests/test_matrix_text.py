@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import savetxt_bytes
-from semismi.cli import RunRecorder, _matrix_chunks
+from semismi.cli import RunRecorder, _matrix_chunks, _matrix_rows
+
+DBL_MIN = float(np.finfo(np.float64).tiny)
 
 
 def _written(matrix) -> bytes:
@@ -29,12 +31,14 @@ def assert_same_bytes(matrix):
 _EDGES = [
     0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
     np.finfo(float).max, 1e-99, 9.99999999999999e-100, 1e100, 9.999999999999999e99,
-    1e-300, -1e300, 1e153, 12345678901234.03125,
+    1e-300, -1e300, 1e153, 12345678901234.03125, 1e-100, -1e-100, 9.99999999999999e-101,
+    DBL_MIN, -DBL_MIN, np.nextafter(DBL_MIN, 0.0), np.nextafter(DBL_MIN, 1.0),
 ]
 _ENTRIES = st.one_of(
     st.floats(min_value=-1e100, max_value=1e100),
     st.floats(),
     st.floats(min_value=1e-310, max_value=1e-295),
+    st.floats(min_value=DBL_MIN, max_value=1e-99),
     st.floats(min_value=1e295, max_value=1e305),
     st.sampled_from(_EDGES),
 )
@@ -48,7 +52,7 @@ def test_writer_matches_savetxt(matrix):
 
 def _powers_of_ten_and_their_neighbours():
     values = []
-    for k in range(-120, 121):
+    for k in range(-330, 309):
         v = float(f"1e{k}")
         values += [np.nextafter(v, 0.0), v, np.nextafter(v, np.inf)]
     return np.array(values)
@@ -68,15 +72,33 @@ def test_exponent_is_exact_where_log10_is_one_off(monkeypatch, nudge):
 
 
 def test_no_double_in_the_fast_range_rounds_up_to_a_power_of_ten():
-    # so the writer needs no carry into the next decade between 1e-99 and
-    # 1e100; 1e153 is the nearest double below its power that does carry
-    for k in range(-99, 100):
+    # so the writer needs no carry into the next decade between DBL_MIN
+    # and 1e100; 1e153 is the nearest double below its power that does carry
+    for k in range(-307, 100):
         v = float(f"1e{k}")
         below = v if Decimal(v) < Decimal(10) ** k else float(np.nextafter(v, 0.0))
         assert int(("%.17e" % below).split("e")[1]) == k - 1
     assert Decimal(1e153) < Decimal(10) ** 153
     assert "%.17e" % 1e153 == "1.00000000000000000e+153"
     assert_same_bytes(np.array([[1e153, np.nextafter(1e153, 0.0)]]))
+
+
+@pytest.mark.parametrize("k", [-100, -101, -150, -200, -250, -299, -300, -301, -307, -308])
+def test_three_digit_negative_exponents_take_the_fast_path(k):
+    # a row the fast path formats never reaches the CPython row format,
+    # which is garbage here; a subnormal sends its row to CPython
+    rng = np.random.default_rng(-k)
+    low = max(float(f"1e{k}"), DBL_MIN)
+    rows = rng.uniform(1.0, 10.0, (6, 5)) * low
+    rows[:, 2] *= -1.0
+    rows[1, 1] = low
+    rows[2, 4] = np.nextafter(float(f"1e{k + 1}"), 0.0)
+    rows[3, 0] = 0.0
+    rows[4, 3] = 0.5  # a short exponent beside long ones
+    cpython = "%.0s" * 5 + "cpython\n"
+    assert _matrix_rows(rows, cpython) == savetxt_bytes(rows)
+    rows[5, 1] = np.nextafter(DBL_MIN, 0.0)
+    assert _matrix_rows(rows, cpython) == savetxt_bytes(rows[:5]) + b"cpython\n"
 
 
 def test_carries_through_trailing_nines():
@@ -117,6 +139,7 @@ def test_rows_mixing_fast_and_fallback_entries_keep_their_order():
     matrix[[1, 7, 8, 39], [0, 4, 2, 3]] = [np.nan, 1e-200, -np.inf, 12345678901234.03125]
     assert_same_bytes(matrix)
     assert_same_bytes(np.full((70_000, 1), 1e-200))
+    assert_same_bytes(np.full((70_000, 1), 5e-324))
 
 
 def test_literal_bytes():

@@ -57,6 +57,8 @@ def test_holdout_error_needs_two_pairs(small_basis):
     model = RatioModel(small_basis, np.zeros(small_basis.b))
     with pytest.raises(ValueError):
         holdout_error(model, np.zeros((1, 2)), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="^test_x and test_y must have equal length$"):
+        holdout_error(model, np.zeros((3, 2)), np.zeros((2, 1)))
 
 
 def test_select_best_argmin_and_tiebreaks():

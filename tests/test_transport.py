@@ -165,6 +165,8 @@ def test_rejects_bad_inputs():
         _cold(dense(np.zeros((2, 2))), 1.5)
     with pytest.raises(ValueError):
         _cold(dense(np.zeros((2, 2))), -0.1)
+    with pytest.raises(ValueError, match="^starting potentials do not match the cost shape$"):
+        sinkhorn_solve(dense(np.zeros((2, 3))), 0.5, 1.0, (np.zeros(3), np.zeros(2)))
 
 
 def test_plan_entropy_uniform():
