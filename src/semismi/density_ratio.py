@@ -8,6 +8,7 @@ positive-definite solve; no iterative optimizer is involved.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,13 +148,16 @@ def mixed_linear_term(
 class RidgeSystem:
     """The ridge system H + lam I, eigendecomposed once for many right-hand sides.
 
-    Within one fit H and lam stay fixed while only h follows the plan, so
     H = Q diag(w) Q^T is computed once and each :meth:`solve` is
-    alpha = Q ((Q^T h) / (w + ridge)).  A ridge is usable only if every
-    w + ridge is positive, as a Cholesky factor of H + ridge I requires.
-    A non-finite alpha or a relative residual above ``SOLVE_RTOL`` falls
-    back to the ridge plus a tiny trace-proportional jitter; failing that
-    the solve raises, since a larger ``lam`` is then the correct fix.
+    alpha = Q ((Q^T h) / (w + ridge)).  Only the shift w + ridge depends
+    on lam, so one decomposition serves every lam: a fit solves against
+    a new h each round, and cross-validation's grid fits share the one
+    decomposition of their H across every lam of the grid.  A ridge is
+    usable only if every w + ridge is positive, as a Cholesky factor of
+    H + ridge I requires.  A non-finite alpha or a relative residual
+    above ``SOLVE_RTOL`` falls back to the ridge plus a tiny
+    trace-proportional jitter; failing that the solve raises, since a
+    larger ``lam`` is then the correct fix.
 
     numpy decomposes, not scipy, so a fit loads only numpy's OpenBLAS
     (``kernels`` forms its distances with numpy too).  scipy bundles a
@@ -177,13 +181,26 @@ class RidgeSystem:
             raise ValueError("H has non-finite entries")
         self.H = H
         self.b = H.shape[0]
+        # The jitter depends on H alone, so it is the same for every lam.
+        self._jitter = JITTER_SCALE * float(np.trace(H)) / max(self.b, 1)
+        self._w, self._Q = np.linalg.eigh(H)
+        self._shifted = self._ridges(lam)
+
+    def _ridges(self, lam: float) -> list:
+        """(ridge, w + ridge) per usable ridge at ``lam``, in the order solve tries them."""
         lam = float(lam)
-        jitter = JITTER_SCALE * float(np.trace(H)) / max(self.b, 1)
-        w, self._Q = np.linalg.eigh(H)
-        # (ridge, w + ridge) per usable ridge, in the order solve tries them.
-        self._shifted = [
-            (ridge, w + ridge) for ridge in (lam, lam + jitter) if (w + ridge > 0.0).all()
+        return [
+            (ridge, self._w + ridge)
+            for ridge in (lam, lam + self._jitter)
+            if (self._w + ridge > 0.0).all()
         ]
+
+    def _with_lam(self, lam: float) -> RidgeSystem:
+        """H + lam I on this decomposition, without a new ``eigh``; ``lam``
+        is a checked ``EstimatorConfig.lam``."""
+        system = copy.copy(self)
+        system._shifted = self._ridges(lam)
+        return system
 
     def solve(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """alpha = (H + lam I)^{-1} h, retried once with jitter as described above.

@@ -185,73 +185,101 @@ def fit(data: SampleSet, config: EstimatorConfig, basis: BasisSet | None = None)
     compare fits (cross-validation, invariance checks) pass one
     explicitly so every fit scores the same feature set.
     """
-    n, n_x, n_y = data.n, data.n_x, data.n_y
-    if config.beta > 0.0 and n == 0:
-        raise ValueError("beta > 0 requires at least one paired sample")
-    if n_x == 0 or n_y == 0:
-        raise ValueError("fit requires non-empty unpaired pools on both sides")
-
-    t0 = time.perf_counter()
-    pooled_x = data.pooled_x
-    pooled_y = data.pooled_y
     if basis is None:
-        basis = sample_basis(pooled_x, pooled_y, config.n_basis, config.seed)
-    K_all, L_all = feature_columns(basis, pooled_x, pooled_y)
-    K_pair, L_pair = K_all[:, :n], L_all[:, :n]
-    K_unpair, L_unpair = K_all[:, n:], L_all[:, n:]
-    H = quadratic_term(K_all, L_all)
-    # H and lam are fixed for the whole fit: decompose once, solve per round.
-    ridge = RidgeSystem(H, config.lam)
-    setup_s = time.perf_counter() - t0
+        basis = sample_basis(data.pooled_x, data.pooled_y, config.n_basis, config.seed)
+    return _Problem(data, basis).fit(config)
 
-    trace: list[float] = []
-    converged = False
-    iterations = 0
-    t1 = time.perf_counter()
-    # h = paired part + (1 - beta) * the plan's feature mass.  Each solve
-    # returns the mass of its plan, which gives the bits of
-    # mixed_linear_term.  The first plan is the independent coupling, all
-    # of whose entries equal pi: its potentials, mass and entropy are
-    # closed forms (the mass equal to mixed_linear_term's up to rounding).
-    h_paired = paired_linear_term(K_pair, L_pair, config.beta)
-    pi = 1.0 / (n_x * n_y)
-    potentials = (np.full(n_x, -np.log(n_x)), np.full(n_y, -np.log(n_y)))
-    mass = K_unpair.sum(axis=1) * L_unpair.sum(axis=1) / (n_x * n_y)
-    entropy = float(-np.log(n_x * n_y) - 1.0)
-    h = h_paired + (1.0 - config.beta) * mass
-    spare = None
-    for t in range(1, config.max_outer_iters + 1):
-        alpha, H_alpha = ridge.solve(h)
-        if t == 1:
-            trace.append(objective(H_alpha, h, alpha, entropy, config.lam, config.epsilon))
-        # Two n_x x n_y buffers per fit: the solve forms the reward from
-        # its factors in the new plan's buffer, and the old plan's buffer
-        # takes the difference and is then the next solve's.  The
-        # constant first plan has no buffer, so its difference is the
-        # second one.
-        plan = sinkhorn_solve(
-            (K_unpair, alpha, L_unpair), config.beta, config.epsilon, potentials, spare
+
+class _Problem:
+    """What every fit on one (data, basis) shares, built once.
+
+    It holds the pooled features split into paired and unpaired blocks,
+    H, and one eigendecomposition of H that serves every lam.  Only lam
+    and beta differ between the fits that share a problem, as
+    cross-validation's grid fits do.
+    """
+
+    def __init__(self, data: SampleSet, basis: BasisSet):
+        if data.n_x == 0 or data.n_y == 0:
+            raise ValueError("fit requires non-empty unpaired pools on both sides")
+        start = time.perf_counter()
+        n, self.n_x, self.n_y = data.n, data.n_x, data.n_y
+        self.n = n
+        self.basis = basis
+        self.K_all, self.L_all = feature_columns(basis, data.pooled_x, data.pooled_y)
+        self.K_pair, self.L_pair = self.K_all[:, :n], self.L_all[:, :n]
+        self.K_unpair, self.L_unpair = self.K_all[:, n:], self.L_all[:, n:]
+        # The independent coupling's feature mass, in closed form (equal
+        # to mixed_linear_term's on that plan up to rounding).
+        self.uniform_mass = (
+            self.K_unpair.sum(axis=1) * self.L_unpair.sum(axis=1) / (self.n_x * self.n_y)
         )
-        spare = np.subtract(pi, plan.pi, out=None if t == 1 else pi)
-        gap = float(np.linalg.norm(spare))
-        pi = plan.pi
-        potentials = (plan.row_potential, plan.col_potential)
-        h = h_paired + (1.0 - config.beta) * plan.feature_mass
-        trace.append(objective(H_alpha, h, alpha, plan_entropy(plan), config.lam, config.epsilon))
-        iterations = t
-        if gap <= OUTER_TOL:
-            converged = plan.converged
-            break
-    iter_s = time.perf_counter() - t1
+        self.ridge = RidgeSystem(quadratic_term(self.K_all, self.L_all), 0.0)
+        self.setup_seconds = time.perf_counter() - start
 
-    model = RatioModel(basis, alpha)
-    smi = _smi(model.alpha, H_alpha, K_all, L_all)
-    timings = {
-        "setup_seconds": setup_s,
-        "iteration_seconds": iter_s,
-        "per_iteration_seconds": iter_s / iterations,
-    }
-    return FitResult(model, plan, np.asarray(trace), iterations, converged, smi, timings)
+    def round(self, ridge, beta, epsilon, h_paired, h, potentials, out):
+        """One (weights, plan) round from the linear term ``h``.
+
+        Solves for alpha, balances the plan of its reward from
+        ``potentials`` in the buffer ``out`` (see
+        :func:`~semismi.transport.sinkhorn_solve`), and returns
+        (alpha, H alpha, plan, the plan's linear term).  Each solve
+        returns the mass of its plan, which gives the bits of
+        mixed_linear_term.
+        """
+        alpha, H_alpha = ridge.solve(h)
+        plan = sinkhorn_solve((self.K_unpair, alpha, self.L_unpair), beta, epsilon, potentials, out)
+        return alpha, H_alpha, plan, h_paired + (1.0 - beta) * plan.feature_mass
+
+    def fit(self, config: EstimatorConfig) -> FitResult:
+        """:func:`fit` at ``config``'s lam, beta, epsilon and iteration cap
+        on this problem's data and basis."""
+        n_x, n_y = self.n_x, self.n_y
+        lam, beta, epsilon = config.lam, config.beta, config.epsilon
+        if beta > 0.0 and self.n == 0:
+            raise ValueError("beta > 0 requires at least one paired sample")
+        ridge = self.ridge._with_lam(lam)
+        start = time.perf_counter()
+        # h = paired part + (1 - beta) * the plan's feature mass.  The first
+        # plan is the independent coupling, all of whose entries equal pi:
+        # its potentials, mass and entropy are closed forms.
+        h_paired = paired_linear_term(self.K_pair, self.L_pair, beta)
+        pi = 1.0 / (n_x * n_y)
+        potentials = (np.full(n_x, -np.log(n_x)), np.full(n_y, -np.log(n_y)))
+        h = h_paired + (1.0 - beta) * self.uniform_mass
+        entropy = float(-np.log(n_x * n_y) - 1.0)
+        trace: list[float] = []
+        converged = False
+        spare = None
+        for t in range(1, config.max_outer_iters + 1):
+            alpha, H_alpha, plan, h_next = self.round(
+                ridge, beta, epsilon, h_paired, h, potentials, spare
+            )
+            if t == 1:
+                trace.append(objective(H_alpha, h, alpha, entropy, lam, epsilon))
+            trace.append(objective(H_alpha, h_next, alpha, plan_entropy(plan), lam, epsilon))
+            # Two n_x x n_y buffers per fit: the solve forms the reward from
+            # its factors in the new plan's buffer, and the old plan's buffer
+            # takes the difference and is then the next solve's.  The
+            # constant first plan has no buffer, so its difference is the
+            # second one.
+            spare = np.subtract(pi, plan.pi, out=None if t == 1 else pi)
+            pi = plan.pi
+            potentials = (plan.row_potential, plan.col_potential)
+            h = h_next
+            if float(np.linalg.norm(spare)) <= OUTER_TOL:
+                converged = plan.converged
+                break
+        iter_s = time.perf_counter() - start
+
+        model = RatioModel(self.basis, alpha)
+        smi = _smi(model.alpha, H_alpha, self.K_all, self.L_all)
+        timings = {
+            "setup_seconds": self.setup_seconds,
+            "iteration_seconds": iter_s,
+            "per_iteration_seconds": iter_s / t,
+        }
+        return FitResult(model, plan, np.asarray(trace), t, converged, smi, timings)
 
 
 def _smi(alpha, H_alpha, K_all, L_all) -> float:
