@@ -9,6 +9,15 @@ while every Sinkhorn solve meets ``MARGINAL_TOL``.  A solve that hits
 its sweep cap returns a plan that is not its sub-problem's minimizer,
 and the trace can then rise; when that solve is the last, the fit
 reports ``converged=False``.
+
+Everything a fit computes from its data and basis alone is built once,
+in a private problem object: the pooled features, split into paired and
+unpaired blocks, the unpaired blocks' factors at their numerical rank
+(see :mod:`~semismi.transport`: each solve forms its reward and feature
+mass at rank r, not b, when r is at most half of b), H, and one
+eigendecomposition of H that serves every lam.  A fit is a loop over
+one round function, (weights, plan) from the linear term, plus the stop
+rule; cross-validation runs all its grid fits on one problem.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import numpy as np
 
 from .density_ratio import RatioModel, RidgeSystem, paired_linear_term, quadratic_term
 from .kernels import BasisSet, as_points, feature_columns, sample_basis
-from .transport import TransportPlan, plan_entropy, sinkhorn_solve
+from .transport import TransportPlan, _FeatureBlocks, plan_entropy, sinkhorn_solve
 
 __all__ = [
     "SampleSet",
@@ -194,7 +203,9 @@ class _Problem:
     """What every fit on one (data, basis) shares, built once.
 
     It holds the pooled features split into paired and unpaired blocks,
-    H, and one eigendecomposition of H that serves every lam.  Only lam
+    the unpaired blocks as every solve takes them (factored at their
+    numerical rank when that is at most half of b), H, and one
+    eigendecomposition of H that serves every lam.  Only lam
     and beta differ between the fits that share a problem, as
     cross-validation's grid fits do.
     """
@@ -203,17 +214,16 @@ class _Problem:
         if data.n_x == 0 or data.n_y == 0:
             raise ValueError("fit requires non-empty unpaired pools on both sides")
         start = time.perf_counter()
-        n, self.n_x, self.n_y = data.n, data.n_x, data.n_y
-        self.n = n
+        n = self.n = data.n
+        self.n_x, self.n_y = data.n_x, data.n_y
         self.basis = basis
         self.K_all, self.L_all = feature_columns(basis, data.pooled_x, data.pooled_y)
         self.K_pair, self.L_pair = self.K_all[:, :n], self.L_all[:, :n]
-        self.K_unpair, self.L_unpair = self.K_all[:, n:], self.L_all[:, n:]
+        K_unpair, L_unpair = self.K_all[:, n:], self.L_all[:, n:]
+        self.blocks = _FeatureBlocks.factored(K_unpair, L_unpair)
         # The independent coupling's feature mass, in closed form (equal
         # to mixed_linear_term's on that plan up to rounding).
-        self.uniform_mass = (
-            self.K_unpair.sum(axis=1) * self.L_unpair.sum(axis=1) / (self.n_x * self.n_y)
-        )
+        self.uniform_mass = K_unpair.sum(axis=1) * L_unpair.sum(axis=1) / (self.n_x * self.n_y)
         self.ridge = RidgeSystem(quadratic_term(self.K_all, self.L_all), 0.0)
         self.setup_seconds = time.perf_counter() - start
 
@@ -224,11 +234,11 @@ class _Problem:
         ``potentials`` in the buffer ``out`` (see
         :func:`~semismi.transport.sinkhorn_solve`), and returns
         (alpha, H alpha, plan, the plan's linear term).  Each solve
-        returns the mass of its plan, which gives the bits of
-        mixed_linear_term.
+        returns the feature mass of its plan: mixed_linear_term's bits
+        on plain blocks, its value to rounding on factored ones.
         """
         alpha, H_alpha = ridge.solve(h)
-        plan = sinkhorn_solve((self.K_unpair, alpha, self.L_unpair), beta, epsilon, potentials, out)
+        plan = sinkhorn_solve((self.blocks, alpha), beta, epsilon, potentials, out)
         return alpha, H_alpha, plan, h_paired + (1.0 - beta) * plan.feature_mass
 
     def fit(self, config: EstimatorConfig) -> FitResult:

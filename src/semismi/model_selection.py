@@ -19,8 +19,8 @@ from .estimator import EstimatorConfig, SampleSet, _Problem, fit  # noqa: F401
 from .kernels import BasisSet, as_points, feature_columns, sample_basis
 
 # cross_validate fits through the problem it builds once, not through
-# ``fit``; the name stays bound here because perfbench's tracer wraps
-# every binding of it.  ``holdout_error`` is likewise not exported:
+# ``fit``; the name stays bound here because perfbench's tests check that
+# its tracer wraps this binding.  ``holdout_error`` is not exported:
 # cross_validate scores against held-out features it forms once, so only
 # tests and perfbench call it.
 __all__ = ["CvGrid", "CvReport", "cross_validate", "select_best"]

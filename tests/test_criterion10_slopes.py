@@ -1,5 +1,6 @@
 """``tools/criterion10_slopes.py`` runs the benchmark in a fresh process
-and prints the slopes with their summary and the run's process figures."""
+and prints the slopes with their summary, the run's process figures and
+each run's per-size seconds."""
 
 import os
 import re
@@ -22,7 +23,7 @@ def test_one_run_prints_its_slope_and_summary():
     )
     assert printed.returncode == 0, printed.stdout + printed.stderr
     lines = printed.stdout.splitlines()
-    assert len(lines) == 11
+    assert len(lines) == 12
     assert Path(lines[0]) == ROOT
     (slope,) = re.fullmatch(r"  slopes: (\S+)", lines[1]).groups()
     # one run: the median and both quartiles are that slope
@@ -35,6 +36,12 @@ def test_one_run_prints_its_slope_and_summary():
     (ratio,) = re.fullmatch(r"  cpu/wall: (\S+)", lines[6]).groups()
     assert 0.0 < float(ratio) <= os.cpu_count() + 0.01
     # then each size's per-iteration seconds, in ARGV's order
-    for line, size in zip(lines[7:], ARGV[ARGV.index("--sizes") + 1].split(",")):
+    sizes = ARGV[ARGV.index("--sizes") + 1].split(",")
+    for line, size in zip(lines[7:11], sizes):
         (seconds,) = re.fullmatch(rf"  size {size}: median per-iteration (\S+) s", line).groups()
         assert 0.0 < float(seconds) < 1.0
+    # and each run's slope beside its own per-size seconds, which with
+    # one run are the medians above
+    medians = [line.split()[-2] for line in lines[7:11]]
+    per_run = ", ".join(f"{size} {seconds}" for size, seconds in zip(sizes, medians))
+    assert lines[11] == f"  run 1: slope {slope}; per-iteration s at {per_run}"

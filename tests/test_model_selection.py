@@ -1,9 +1,12 @@
 """Tests for hold-out cross-validation over (lambda, beta)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from semismi import CvGrid, EstimatorConfig, cross_validate, model_selection
+from semismi import CvGrid, EstimatorConfig, SampleSet, cross_validate, estimator, fit, model_selection
+from semismi.kernels import sample_basis
 from semismi.model_selection import holdout_error, select_best
 
 from conftest import make_dataset
@@ -116,3 +119,47 @@ def test_cross_validate_split_depends_on_grid_seed(monkeypatch):
     r2 = cross_validate(data, cfg, CvGrid(seed=99))
     # different hold-out splits score differently in general
     assert r1.scores != r2.scores
+
+
+def test_cross_validate_builds_its_training_problem_once(monkeypatch):
+    # the 20 grid fits share the training features, H and one eigh; the
+    # held-out features are formed once too
+    data = make_dataset(seed=5, n=12, n_x=30, n_y=30, d_x=1, d_y=1, linked=True)
+    n_train = data.n - int(round(data.n * model_selection.HOLDOUT_FRACTION))
+    pooled_sizes = []
+    eighs = []
+    feature_columns, eigh = estimator.feature_columns, np.linalg.eigh
+
+    def counting_features(basis, xs, ys):
+        pooled_sizes.append((len(xs), len(ys)))
+        return feature_columns(basis, xs, ys)
+
+    def counting_eigh(H):
+        eighs.append(H.shape)
+        return eigh(H)
+
+    monkeypatch.setattr(estimator, "feature_columns", counting_features)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    report = cross_validate(data, EstimatorConfig(n_basis=8, seed=5), CvGrid(seed=1))
+    assert len(report.scores) == 20
+    assert pooled_sizes == [(n_train + data.n_x, n_train + data.n_y)]
+    assert eighs == [(8, 8)]
+
+
+def test_cross_validate_scores_as_separate_fits_and_holdout_error_do(monkeypatch):
+    # one shared problem and held-out features formed once give each grid
+    # point the bits of its own fit scored by holdout_error
+    data = make_dataset(seed=6, n=10, n_x=25, n_y=20, d_x=2, d_y=1, linked=True)
+    _grid(monkeypatch, (0.1, 0.001), (0.2, 1.0))
+    config = EstimatorConfig(n_basis=8, seed=6)
+    report = cross_validate(data, config, CvGrid(seed=3))
+    perm = np.random.default_rng(3).permutation(data.n)
+    test_idx, train_idx = perm[:5], perm[5:]
+    train = SampleSet(
+        data.paired_x[train_idx], data.paired_y[train_idx], data.unpaired_x, data.unpaired_y
+    )
+    basis = sample_basis(data.pooled_x, data.pooled_y, 8, 6)
+    for (lam, beta), score in report.scores.items():
+        result = fit(train, replace(config, lam=lam, beta=beta), basis=basis)
+        expected = holdout_error(result.model, data.paired_x[test_idx], data.paired_y[test_idx])
+        assert score == expected

@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from semismi import transport
+from semismi import SampleSet, transport
 from semismi.density_ratio import mixed_linear_term, weighted_feature_sum
+from semismi.kernels import feature_columns, sample_basis
 from semismi.transport import TransportPlan, cost_matrix, plan_entropy, sinkhorn_solve
 
 from conftest import (
@@ -653,3 +654,79 @@ def test_solve_rejects_an_unusable_buffer(out):
     reward = (rng.random((4, 9)), rng.standard_normal(4), rng.random((4, 7)))
     with pytest.raises(ValueError, match="^out must be a C-contiguous float64 array"):
         sinkhorn_solve(reward, 0.3, 0.3, uniform_potentials(9, 7), out)
+
+
+# ------------------------------------------------------- factored feature blocks
+
+
+def _unpaired_features(d, seed, n=20, n_x=300, n_y=250, n_basis=200):
+    rng = np.random.default_rng(seed)
+    data = SampleSet(*(rng.standard_normal((size, d)) for size in (n, n, n_x, n_y)))
+    basis = sample_basis(data.pooled_x, data.pooled_y, n_basis, seed)
+    K, L = feature_columns(basis, data.pooled_x, data.pooled_y)
+    return K[:, n:], L[:, n:]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_factored_blocks_of_one_coordinate_meet_a_longdouble_oracle(seed):
+    # at d = 1 the 200 Gaussian features span about 23 directions above
+    # eps * sigma_1, so each solve forms S and the mass at that inner
+    # dimension.  Against sums in long double, each entry stays within
+    # 8 u times the norms it is made of, with u = 2^-53 (the worst of
+    # four seeds used 0.7% of the bound for S and 4% for the mass); a cut
+    # at 1e-8 * sigma_1 instead moves S by about 1e-8 * sigma_1.
+    K, L = _unpaired_features(1, seed)
+    blocks = transport._FeatureBlocks.factored(K, L)
+    P_K, F_K, P_L, F_L = blocks.factors
+    b = K.shape[0]
+    assert 0 < P_K.shape[1] < b // 2 and 0 < P_L.shape[1] < b // 2
+    np.testing.assert_allclose(P_K.T @ P_K, np.eye(P_K.shape[1]), atol=1e-14)
+    np.testing.assert_allclose(P_L.T @ P_L, np.eye(P_L.shape[1]), atol=1e-14)
+    u = np.finfo(float).eps / 2
+    rng = np.random.default_rng(seed)
+    scaled_alpha = 3.0 * rng.standard_normal(b)
+    S = np.empty((K.shape[1], L.shape[1]))
+    blocks.scaled_reward(scaled_alpha, S)
+    K_ld, L_ld = K.astype(np.longdouble), L.astype(np.longdouble)
+    oracle = (K_ld * scaled_alpha.astype(np.longdouble)[:, None]).T @ L_ld
+    sigma_K, sigma_L = np.linalg.norm(K, 2), np.linalg.norm(L, 2)
+    bound = 8 * u * np.abs(scaled_alpha).max() * (
+        sigma_K * np.linalg.norm(L, axis=0)[None, :] + np.linalg.norm(K, axis=0)[:, None] * sigma_L
+    )
+    assert np.all(np.abs(S - oracle).astype(float) <= bound)
+    pi = rng.random(S.shape)
+    pi /= pi.sum()
+    oracle_mass = ((K_ld @ pi.astype(np.longdouble)) * L_ld).sum(axis=1)
+    mass_bound = 8 * u * np.linalg.norm(pi, 2) * sigma_K * sigma_L
+    assert np.all(np.abs(blocks.feature_mass(pi) - oracle_mass).astype(float) <= mass_bound)
+
+
+def test_full_rank_blocks_keep_the_plain_factors_and_their_bits():
+    # 32 coordinates give 200 features of full numerical rank, where a
+    # factored S costs more than the plain GEMM: the solve keeps today's
+    # arithmetic to the bit
+    K, L = _unpaired_features(32, 3, n_x=260, n_y=240)
+    blocks = transport._FeatureBlocks.factored(K, L)
+    assert blocks.factors is None
+    alpha = np.random.default_rng(3).standard_normal(K.shape[0])
+    start = uniform_potentials(K.shape[1], L.shape[1])
+    via_blocks = sinkhorn_solve((blocks, alpha), 0.5, 0.3, start)
+    plain = sinkhorn_solve((K, alpha, L), 0.5, 0.3, start)
+    np.testing.assert_array_equal(via_blocks.pi, plain.pi)
+    np.testing.assert_array_equal(via_blocks.feature_mass, plain.feature_mass)
+
+
+def test_a_solve_on_factored_blocks_matches_the_plain_one():
+    # the same reward at two inner dimensions: one plan to the solve's
+    # tolerance, whose mass agrees to rounding
+    K, L = _unpaired_features(1, 4, n_x=120, n_y=110)
+    blocks = transport._FeatureBlocks.factored(K, L)
+    assert blocks.factors is not None
+    alpha = np.random.default_rng(4).standard_normal(K.shape[0])
+    start = uniform_potentials(K.shape[1], L.shape[1])
+    factored = sinkhorn_solve((blocks, alpha), 0.5, 0.3, start)
+    plain = sinkhorn_solve((K, alpha, L), 0.5, 0.3, start)
+    assert factored.converged and plain.converged
+    np.testing.assert_allclose(factored.pi, plain.pi, rtol=0.0, atol=transport.MARGINAL_TOL)
+    np.testing.assert_allclose(factored.feature_mass, plain.feature_mass, rtol=1e-10)
+    assert factored.entropy == pytest.approx(plain.entropy, rel=1e-12)

@@ -13,8 +13,9 @@ slope, their median and quartiles, and how many fall below FLOOR.  The
 slope varies from process to process, so one run says little; compare
 the printed spreads.  Below them, one line per size gives the median
 over runs of the per-iteration seconds each run kept (its
-``benchmark.csv``), so a shift in the slope can be traced to the sizes
-that moved.  Before those, three lines give each run's voluntary and
+``benchmark.csv``), and then one line per run gives its slope next to
+the per-iteration seconds it kept at each size, so a shift in the slope
+can be traced to the sizes, and the runs, that moved.  Before those, three lines give each run's voluntary and
 involuntary context switches and its CPU/wall ratio, in the order of
 the slopes, from ``resource.getrusage(RUSAGE_CHILDREN)`` before and
 after the process, so low slopes can be set against a process that
@@ -94,6 +95,9 @@ def main(argv=None) -> int:
         for size in results[0][1]:
             seconds = np.median([per_size[size] for _, per_size, _ in results])
             print(f"  size {size}: median per-iteration {seconds:.3e} s")
+        for k, (value, per_size, _) in enumerate(results, start=1):
+            sizes = ", ".join(f"{size} {seconds:.3e}" for size, seconds in per_size.items())
+            print(f"  run {k}: slope {value:.3f}; per-iteration s at {sizes}")
     return 0
 
 
