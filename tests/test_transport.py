@@ -716,6 +716,20 @@ def test_full_rank_blocks_keep_the_plain_factors_and_their_bits():
     np.testing.assert_array_equal(via_blocks.feature_mass, plain.feature_mass)
 
 
+def test_a_rank_that_only_the_qr_resolves_decides_too():
+    # singular values from 1 down to 1e-15: the Gram resolves only the 18
+    # of 40 above about 3e-7, but all 40 lie above eps * sigma_1, so the
+    # QR and SVD find full rank and the blocks stay plain
+    rng = np.random.default_rng(5)
+    b, n = 40, 300
+    U = np.linalg.qr(rng.standard_normal((b, b)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, b)))[0]
+    B = (U * np.logspace(0, -15, b)) @ V.T
+    assert transport._gram_rank(B) <= b // 2
+    assert transport._range_basis(B).shape[1] == b
+    assert transport._FeatureBlocks.factored(B, B).factors is None
+
+
 def test_a_solve_on_factored_blocks_matches_the_plain_one():
     # the same reward at two inner dimensions: one plan to the solve's
     # tolerance, whose mass agrees to rounding
