@@ -24,7 +24,7 @@ then forms S = F_K^T (P_K^T diag(scale alpha) P_L) F_L and
 m = rowsum((P_K T) * P_L) with T = (F_K pi) F_L^T: the two GEMMs that
 set a solve's fixed cost run at inner dimension r instead of b, about
 a fifth of their plain cost at r = 25, b = 200, and the temporaries are
-r x n.  One-coordinate pools give r of 22-26 at b = 200.  Blocks whose
+r x n.  One-coordinate pools give r of 21-25 at b = 200.  Blocks whose
 ranks exceed ``FACTOR_MAX_RANK_SHARE`` times b keep the plain factors
 and their arithmetic, to the bit; full-rank features, such as those of
 32-d tables, are cheaper that way.  The sweeps, absorptions, checks and
@@ -116,7 +116,7 @@ RELAX_OMEGA_CAP = 1.8
 #: factor of 2 took 302 sweeps, 10 and 100 took 114 and 117.
 RELAX_FALLBACK = 10.0
 #: A block's singular values at or below this times its largest are
-#: dropped from its factors (the unit roundoff of doubles, 2^-52).
+#: dropped from its factors (the machine epsilon of doubles, 2^-52).
 RANK_EPS = float(np.finfo(float).eps)
 #: A pair of feature blocks is factored when both numerical ranks are at
 #: most this share of b.  Timed warm on 2 cores (numpy 2.4.6 with
@@ -170,7 +170,7 @@ class _FeatureBlocks:
     @classmethod
     def factored(cls, K: np.ndarray, L: np.ndarray) -> _FeatureBlocks:
         """The blocks, factored when both numerical ranks are at most
-        ``FACTOR_MAX_RANK_SHARE`` times b; plain (today's arithmetic,
+        ``FACTOR_MAX_RANK_SHARE`` times b; plain (the rank-b arithmetic,
         to the bit) otherwise."""
         limit = FACTOR_MAX_RANK_SHARE * K.shape[0]
         if _gram_rank(K) > limit or _gram_rank(L) > limit:

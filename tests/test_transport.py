@@ -703,7 +703,7 @@ def test_factored_blocks_of_one_coordinate_meet_a_longdouble_oracle(seed):
 
 def test_full_rank_blocks_keep_the_plain_factors_and_their_bits():
     # 32 coordinates give 200 features of full numerical rank, where a
-    # factored S costs more than the plain GEMM: the solve keeps today's
+    # factored S costs more than the plain GEMM: the solve keeps the rank-b
     # arithmetic to the bit
     K, L = _unpaired_features(32, 3, n_x=260, n_y=240)
     blocks = transport._FeatureBlocks.factored(K, L)
