@@ -30,7 +30,8 @@ and their arithmetic, to the bit; full-rank features, such as those of
 32-d tables, are cheaper that way.  The sweeps, absorptions, checks and
 stop rules below are one loop for both.
 
-The solver keeps dual potentials in log space and absorbs the running scaling factors into them whenever one leaves
+The solver keeps dual potentials in log space and absorbs the running
+scaling factors into them whenever one leaves
 [exp(-ABSORB_THRESHOLD), exp(ABSORB_THRESHOLD)] (Schmitzer's
 stabilized scaling), so arbitrarily large cost magnitudes cannot
 overflow while the hot loop stays two matrix-vector products per
@@ -120,10 +121,10 @@ RELAX_FALLBACK = 10.0
 RANK_EPS = float(np.finfo(float).eps)
 #: A pair of feature blocks is factored when both numerical ranks are at
 #: most this share of b.  Timed warm on 2 cores (numpy 2.4.6 with
-#: OpenBLAS 0.3.31) at b = 200, the S GEMM plus the mass GEMM at rank r cost 0.22, 0.39, 0.55,
-#: 0.73, 0.93 and 1.15 times the plain pair's at 500^2 for r = 25, 50,
-#: 75, 100, 125 and 150, and 0.19, 0.32, 0.43, 0.57, 0.69 and 0.84 at
-#: 2000^2; a fit also pays the factorization once.
+#: OpenBLAS 0.3.31) at b = 200, the S GEMM plus the mass GEMM at rank r
+#: cost 0.22, 0.39, 0.55, 0.73, 0.93 and 1.15 times the plain pair's at
+#: 500^2 for r = 25, 50, 75, 100, 125 and 150, and 0.19, 0.32, 0.43,
+#: 0.57, 0.69 and 0.84 at 2000^2; a fit also pays the factorization once.
 FACTOR_MAX_RANK_SHARE = 0.5
 
 
@@ -317,9 +318,9 @@ def sinkhorn_solve(
     log-domain pass then forms the kernel again, as one sweep.  Beside
     the plan, a solve holds at most one b x n product at a time:
     K * scale * alpha for each GEMM, and K pi for the feature mass (r x n
-    or n x r on factored blocks).  A
-    NaN or +inf in S, or a row or column of S that is all -inf, is an
-    error (a ``ValueError`` naming beta and epsilon): each makes the
+    or n x r on factored blocks).  A NaN or +inf in S, or a row or
+    column of S that is all -inf, is an error (a ``ValueError`` naming
+    beta and epsilon): each makes the
     kernel unusable, so the check always sees it.  An isolated -inf
     entry is allowed; its kernel and plan entry are exactly 0 on either
     path.

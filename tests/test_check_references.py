@@ -26,7 +26,8 @@ def test_the_largest_smi_deviation_counts_only_the_passing_inputs(tmp_path, monk
     monkeypatch.setattr(workload, "all_items", lambda workdir: workload._items([0, 1]))
     references = workloads.load_references()
     tampered = {**references, "large_fit": {**references["large_fit"]}}
-    tampered["large_fit"]["1"] = {**tampered["large_fit"]["1"], "smi": 2.0 * tampered["large_fit"]["1"]["smi"]}
+    moved = tampered["large_fit"]["1"]
+    tampered["large_fit"]["1"] = {**moved, "smi": 2.0 * moved["smi"]}
     monkeypatch.setattr(workloads, "load_references", lambda: tampered)
 
     deviations = {}

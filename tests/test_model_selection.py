@@ -5,7 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semismi import CvGrid, EstimatorConfig, SampleSet, cross_validate, estimator, fit, model_selection
+from semismi import (
+    CvGrid, EstimatorConfig, SampleSet, cross_validate, estimator, fit, model_selection,
+)
 from semismi.kernels import sample_basis
 from semismi.model_selection import holdout_error, select_best
 

@@ -15,11 +15,12 @@ the printed spreads.  Below them, one line per size gives the median
 over runs of the per-iteration seconds each run kept (its
 ``benchmark.csv``), and then one line per run gives its slope next to
 the per-iteration seconds it kept at each size, so a shift in the slope
-can be traced to the sizes, and the runs, that moved.  Before those, three lines give each run's voluntary and
-involuntary context switches and its CPU/wall ratio, in the order of
-the slopes, from ``resource.getrusage(RUSAGE_CHILDREN)`` before and
-after the process, so low slopes can be set against a process that
-waited or was preempted more than the others.
+can be traced to the sizes, and the runs, that moved.  Before those,
+three lines give each run's voluntary and involuntary context switches
+and its CPU/wall ratio, in the order of the slopes, from
+``resource.getrusage(RUSAGE_CHILDREN)`` before and after the process,
+so low slopes can be set against a process that waited or was
+preempted more than the others.
 
 ARGV and FLOOR define criterion 10: ``tests/test_acceptance.py::
 test_criterion_10_iteration_cost_scales_quadratically`` runs ARGV and
