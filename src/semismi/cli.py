@@ -31,8 +31,8 @@ from .data import KINDS, SyntheticSpec, generate, index_pairs, load_table, split
 from .estimator import EstimatorConfig, fit
 from .matching import (
     GridSpec,
+    _placements,
     grid_sample_set,
-    grid_summarize,
     naming_grid_sides,
     plan_to_assignment,
     topk_accuracy,
@@ -235,22 +235,15 @@ def _matrix_rows(block: np.ndarray, row_format: str) -> bytes:
     return b"".join(pieces)
 
 
-def _matrix_chunks(matrix) -> Iterator[bytes]:
+def _matrix_chunks(matrix: np.ndarray) -> Iterator[bytes]:
     """The bytes np.savetxt(path, matrix, fmt="%.17e", delimiter=",")
-    writes, a block of rows at a time."""
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.ndim != 2:
-        raise ValueError(f"Expected 1D or 2D array, got {a.ndim}D array instead")
-    rows, cols = a.shape
-    if cols == 0:
-        yield b"\n" * rows
-        return
+    writes, a block of rows at a time, for a float64 matrix with at
+    least one column."""
+    rows, cols = matrix.shape
     row_format = ",".join(["%.17e"] * cols) + "\n"
     step = max(1, _BLOCK_ENTRIES // cols)
     for start in range(0, rows, step):
-        yield _matrix_rows(a[start : start + step], row_format)
+        yield _matrix_rows(matrix[start : start + step], row_format)
 
 
 class RunRecorder:
@@ -279,9 +272,10 @@ class RunRecorder:
     def write(self, name: str, content, deterministic: bool = True) -> None:
         """Write ``content`` to ``name`` in the run directory and record its digest.
 
-        A string is written as is; anything else is a matrix, written as
-        comma-separated ``%.17e`` values, one row per line, byte for byte
-        what ``numpy.savetxt(path, content, fmt="%.17e", delimiter=",")``
+        A string is written as is; anything else is a float64 matrix with
+        at least one column, written as comma-separated ``%.17e`` values,
+        one row per line, byte for byte what
+        ``numpy.savetxt(path, content, fmt="%.17e", delimiter=",")``
         writes.  The digest covers the bytes as written.
         """
         chunks = [content.encode()] if isinstance(content, str) else _matrix_chunks(content)
@@ -566,13 +560,14 @@ def cmd_summarize(args, recorder: RunRecorder) -> int:
         anchors = _load_index(args.anchors, "--anchors", recorder)
         grid = GridSpec(positions, anchors)
     with recorder.phase("cv_seconds"), naming_grid_sides():
-        data = grid_sample_set(items, grid)[0]
+        problem = grid_sample_set(items, grid)
+        data = problem[0]
         # CV holds out half of the anchors, so it needs MIN_PAIRS of them, and
         # with no item or no position free there is nothing to fit
         tunable = len(grid.anchors) >= MIN_PAIRS and data.n_x > 0 and data.n_y > 0
         config, report = _tune(args, recorder, data if tunable else None)
     with recorder.phase("fit_seconds"):
-        placements, result = grid_summarize(items, grid, config)
+        placements, result = _placements(grid, problem, config)
     with recorder.phase("write_seconds"):
         lines = ["position_index,item_index"]
         lines += [f"{p},{i}" for i, p in placements]

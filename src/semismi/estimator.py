@@ -176,7 +176,7 @@ def objective(H_alpha, h, alpha, entropy: float, lam: float, epsilon: float) -> 
     )
 
 
-def fit(data: SampleSet, config: EstimatorConfig, basis: BasisSet | None = None) -> FitResult:
+def fit(data: SampleSet, config: EstimatorConfig) -> FitResult:
     """Alternate ratio-weight solves with plan rebalancing.
 
     Starts from the independent coupling pi_ij = 1/(n_x n_y), taken in
@@ -188,14 +188,10 @@ def fit(data: SampleSet, config: EstimatorConfig, basis: BasisSet | None = None)
     sweep cap says so.  The
     objective value is recorded once after the first weight solve
     (index 0) and then after every completed round, so consecutive
-    trace entries are directly comparable.
-
-    ``basis`` overrides the internally sampled basis; callers that
-    compare fits (cross-validation, invariance checks) pass one
-    explicitly so every fit scores the same feature set.
+    trace entries are directly comparable.  The basis is sampled from
+    the pooled data by ``config``'s ``n_basis`` and ``seed``.
     """
-    if basis is None:
-        basis = sample_basis(data.pooled_x, data.pooled_y, config.n_basis, config.seed)
+    basis = sample_basis(data.pooled_x, data.pooled_y, config.n_basis, config.seed)
     return _Problem(data, basis).fit(config)
 
 
@@ -238,7 +234,7 @@ class _Problem:
         on plain blocks, its value to rounding on factored ones.
         """
         alpha, H_alpha = ridge.solve(h)
-        plan = sinkhorn_solve((self.blocks, alpha), beta, epsilon, potentials, out)
+        plan = sinkhorn_solve(self.blocks, alpha, beta, epsilon, potentials, out)
         return alpha, H_alpha, plan, h_paired + (1.0 - beta) * plan.feature_mass
 
     def fit(self, config: EstimatorConfig) -> FitResult:
@@ -246,8 +242,6 @@ class _Problem:
         on this problem's data and basis."""
         n_x, n_y = self.n_x, self.n_y
         lam, beta, epsilon = config.lam, config.beta, config.epsilon
-        if beta > 0.0 and self.n == 0:
-            raise ValueError("beta > 0 requires at least one paired sample")
         ridge = self.ridge._with_lam(lam)
         start = time.perf_counter()
         # h = paired part + (1 - beta) * the plan's feature mass.  The first

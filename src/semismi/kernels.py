@@ -8,10 +8,10 @@ kernel feature matrices everything else is built from.
 Squared distances are formed with numpy alone, one row block at a
 time, in one of two ways set by the number of coordinates d:
 
-- Below ``GEMM_MIN_DIM`` = 4 coordinates, or when a point has a NaN or
-  infinite coordinate, (a_k - b_k)^2 is added over k = 0..d-1 in
-  order.  That is the order of scipy's ``cdist``/``pdist`` loop, so the
-  kernels and bandwidths carry the same bits as theirs.
+- Below ``GEMM_MIN_DIM`` = 4 coordinates, (a_k - b_k)^2 is added over
+  k = 0..d-1 in order.  That is the order of scipy's
+  ``cdist``/``pdist`` loop, so the kernels and bandwidths carry the
+  same bits as theirs.
 - Otherwise each block is one BLAS GEMM on the points centred by m, the
   mean of the first point set (the pool for a bandwidth, the centres
   for a gram):
@@ -28,7 +28,9 @@ d = 1: a 1050-point bandwidth takes 5 ms against the loop's 7 ms at
 d = 4, 6 against 33 ms at d = 32, and 5.5 against 5.0 ms at d = 1 (a
 2-core box with OpenBLAS).  A fit loads no scipy either way.
 The bandwidth's median is selected from the blocks as they stream past,
-so no array of all pairwise distances is ever held.
+so no array of all pairwise distances is ever held.  Every entry point
+rejects a point with a NaN or infinite coordinate, so both forms see
+finite points only.
 """
 
 from __future__ import annotations
@@ -128,12 +130,10 @@ def _block_filler(a, b, entries: int):
 
     Below ``GEMM_MIN_DIM`` coordinates it adds squares over a contiguous
     copy of b's transpose; from there on both sides are centred by a's
-    mean and each block is one GEMM.  Non-finite points take the loop
-    at any d: a NaN stays in its own row or column, and an infinite
-    coordinate gives an infinite distance, as in cdist.
+    mean and each block is one GEMM.  The points are finite.
     """
     scratch = _scratch(entries, a.shape[1])
-    if a.shape[1] < GEMM_MIN_DIM or not (np.isfinite(a).all() and np.isfinite(b).all()):
+    if a.shape[1] < GEMM_MIN_DIM:
         bT = np.ascontiguousarray(b.T)
         return lambda out, rows, start: _add_squares(out, a[rows], bT[:, start:], scratch)
     mean = a.sum(axis=0) / max(a.shape[0], 1)
@@ -312,9 +312,16 @@ def median_heuristic(samples, seed: int = 0) -> float:
 
 
 def gaussian_gram(centers, points, sigma: float) -> np.ndarray:
-    """Kernel matrix G[l, i] = exp(-||c_l - p_i||^2 / (2 sigma^2))."""
+    """Kernel matrix G[l, i] = exp(-||c_l - p_i||^2 / (2 sigma^2)).
+
+    A center or point with a NaN or infinite coordinate is a
+    ``ValueError`` naming its argument.
+    """
     c = as_points(centers, "centers")
     p = as_points(points, "points")
+    for pts, name in ((c, "centers"), (p, "points")):
+        if not np.isfinite(pts).all():
+            raise ValueError(f"{name} has a non-finite entry (NaN or inf)")
     if c.shape[1] != p.shape[1]:
         raise ValueError(
             f"dimension mismatch: centers have d={c.shape[1]}, points d={p.shape[1]}"

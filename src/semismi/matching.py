@@ -154,7 +154,13 @@ def grid_summarize(features, grid: GridSpec, config: EstimatorConfig) -> tuple:
     items than positions, and the fit's ``FitResult`` (None when no
     item or no position is free).
     """
-    data, free_items, free_spots = grid_sample_set(features, grid)
+    return _placements(grid, grid_sample_set(features, grid), config)
+
+
+def _placements(grid: GridSpec, problem: tuple, config: EstimatorConfig) -> tuple:
+    """:func:`grid_summarize` on ``problem``, the (data, free_items,
+    free_positions) that :func:`grid_sample_set` built for ``grid``."""
+    data, free_items, free_spots = problem
     placements = list(grid.anchors)
     result = None
     if free_items and free_spots:

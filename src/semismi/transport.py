@@ -160,26 +160,33 @@ class _FeatureBlocks:
     C = (K * alpha)^T L, and how every solve on them forms S and the
     feature mass: plainly at inner dimension b, or, once
     :meth:`factored` has factored both blocks, at their numerical ranks
-    (see the module docstring).
+    (see the module docstring).  Their shapes are checked here, once, so
+    no solve checks them again.
     """
 
-    def __init__(self, K: np.ndarray, L: np.ndarray, factors=None):
+    def __init__(self, K: np.ndarray, L: np.ndarray):
+        if K.ndim != 2 or L.ndim != 2 or K.shape[0] != L.shape[0] or 0 in K.shape + L.shape:
+            raise ValueError(
+                f"reward factors K, L must have shapes (b, n_x), (b, n_y) with "
+                f"b, n_x, n_y >= 1; got {K.shape}, {L.shape}"
+            )
         self.K, self.L = K, L
         #: (P_K, F_K, P_L, F_L), or None for the plain blocks.
-        self.factors = factors
+        self.factors = None
 
     @classmethod
     def factored(cls, K: np.ndarray, L: np.ndarray) -> _FeatureBlocks:
         """The blocks, factored when both numerical ranks are at most
         ``FACTOR_MAX_RANK_SHARE`` times b; plain (the rank-b arithmetic,
         to the bit) otherwise."""
+        blocks = cls(K, L)
         limit = FACTOR_MAX_RANK_SHARE * K.shape[0]
         if _gram_rank(K) > limit or _gram_rank(L) > limit:
-            return cls(K, L)
+            return blocks
         P_K, P_L = _range_basis(K), _range_basis(L)
-        if max(P_K.shape[1], P_L.shape[1]) > limit:
-            return cls(K, L)
-        return cls(K, L, (P_K, P_K.T @ K, P_L, P_L.T @ L))
+        if max(P_K.shape[1], P_L.shape[1]) <= limit:
+            blocks.factors = (P_K, P_K.T @ K, P_L, P_L.T @ L)
+        return blocks
 
     def scaled_reward(self, scaled_alpha: np.ndarray, out: np.ndarray) -> None:
         """Write S = (K * scaled_alpha)^T L into ``out``."""
@@ -223,18 +230,13 @@ class TransportPlan:
     iterations: int
     feature_mass: np.ndarray
 
-    def __post_init__(self):
-        self.pi = np.asarray(self.pi, dtype=float)
-        if self.pi.ndim != 2:
-            raise ValueError(f"plan must be a matrix, got shape {self.pi.shape}")
-
 
 def cost_matrix(alpha, K_unpair, L_unpair) -> np.ndarray:
     """Reward matrix C[i, j] = r_alpha(x'_i, y'_j) on the unpaired pools.
 
     Identical formula to the cross-pair ratio values; materialized in
     O(b * n_x * n_y) from the factored kernel columns.  ``fit`` does not
-    form it: it passes the factors (K_unpair, alpha, L_unpair) to
+    form it: it passes its feature blocks and alpha to
     :func:`sinkhorn_solve`, which also checks finiteness.
     """
     return ratio_cross(alpha, K_unpair, L_unpair)
@@ -275,17 +277,22 @@ def _positive_finite(sums: np.ndarray) -> bool:
 
 
 def sinkhorn_solve(
-    reward, beta: float, epsilon: float, potentials, out: np.ndarray | None = None
+    blocks: _FeatureBlocks,
+    alpha: np.ndarray,
+    beta: float,
+    epsilon: float,
+    potentials,
+    out: np.ndarray | None = None,
 ) -> TransportPlan:
     """Balance exp((1 - beta) C / epsilon) to uniform marginals.
 
-    ``reward`` is the factor triple (K, alpha, L) of C = (K * alpha)^T L,
-    with K of shape (b, n_x), alpha (b,) and L (b, n_y), or the pair
-    (blocks, alpha) with K and L as the ``_FeatureBlocks`` a fit builds
-    once, which form S and the feature mass at the blocks' numerical
-    rank (see the module docstring); C itself is never formed.  A triple
-    takes the plain arithmetic: the factors (I, 1, C) of a dense
-    n_x x n_y matrix C give scale * C to the bit.
+    The reward is C = (K * alpha)^T L: ``blocks`` holds the unpaired
+    feature blocks K (b x n_x) and L (b x n_y) as a fit builds them once,
+    which form S and the feature mass at the blocks' numerical rank when
+    they are factored (see the module docstring), and ``alpha`` is the
+    (b,) ratio weights; C itself is never formed.  Plain blocks
+    (I, C) with alpha = 1 give scale * C of a dense n_x x n_y matrix C
+    to the bit.
 
     Sweeps alternate exact row balancing with exact column balancing;
     the iteration stops once the marginal not currently enforced is
@@ -300,7 +307,8 @@ def sinkhorn_solve(
     plan's entropy or feature mass is not finite; that, or a sweep whose
     scalings leave the range of doubles, raises a ``ValueError`` naming
     beta and epsilon, without a numpy warning.  Both constants are read
-    at each call.  ``epsilon`` is checked by ``EstimatorConfig``, not here.
+    at each call.  ``beta`` and ``epsilon`` are checked by
+    ``EstimatorConfig``, not here.
 
     The dual potentials start from ``potentials``, a (row, column)
     pair: a previous solve's on a nearby reward, or the independent
@@ -330,23 +338,12 @@ def sinkhorn_solve(
     sweep cap was hit), and its ``feature_mass`` m, from which
     <pi, C> = alpha^T m.
     """
-    if len(reward) == 2:
-        blocks, alpha = reward
-        K, L = blocks.K, blocks.L
-    else:
-        K, alpha, L = (np.asarray(f, dtype=float) for f in reward)
-        blocks = _FeatureBlocks(K, L)
-    alpha = np.asarray(alpha, dtype=float)
-    shaped = K.ndim == L.ndim == 2 and alpha.shape == (K.shape[0],) == L.shape[:1]
-    if not shaped or 0 in (K.shape[1], L.shape[1]):
+    n_x, n_y = blocks.K.shape[1], blocks.L.shape[1]
+    if alpha.shape != blocks.K.shape[:1]:
         raise ValueError(
-            f"reward factors must have shapes (b, n_x), (b,), (b, n_y) with n_x, n_y >= 1; "
-            f"got {K.shape}, {alpha.shape}, {L.shape}"
+            f"reward factors have b = {blocks.K.shape[0]}, got alpha of shape {alpha.shape}"
         )
-    n_x, n_y = K.shape[1], L.shape[1]
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    phi, psi = (np.array(p, dtype=float) for p in potentials)
+    phi, psi = (p.copy() for p in potentials)
     if phi.shape != (n_x,) or psi.shape != (n_y,):
         raise ValueError("starting potentials do not match the cost shape")
 

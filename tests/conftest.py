@@ -10,6 +10,7 @@ from scipy.special import xlogy
 
 from semismi.estimator import SampleSet
 from semismi.kernels import sample_basis
+from semismi.transport import _FeatureBlocks
 
 # the tools' constants, such as criterion 10's command line, are imported
 # by the tests that check against them
@@ -64,9 +65,16 @@ def uniform_potentials(n_x, n_y):
     return np.full(n_x, -np.log(n_x)), np.full(n_y, -np.log(n_y))
 
 
+def plain(K, alpha, L):
+    """The reward (K * alpha)^T L as sinkhorn_solve takes it: plain
+    feature blocks, which keep the rank-b arithmetic, and alpha."""
+    return _FeatureBlocks(K, L), alpha
+
+
 def dense(C):
-    """A reward matrix as the factors (I, 1, C), which give scale * C to the bit."""
-    return np.eye(len(C)), np.ones(len(C)), C
+    """A reward matrix as plain blocks (I, C) and alpha = 1, which give
+    scale * C to the bit."""
+    return plain(np.eye(len(C)), np.ones(len(C)), C)
 
 
 @pytest.fixture

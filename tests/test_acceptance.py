@@ -164,7 +164,7 @@ def test_criterion_03_subsolvers_match_oracles(monkeypatch):
     for _ in range(8):
         C = rng.standard_normal((3, 3))
         beta = float(rng.uniform(0.0, 0.9))
-        got = sinkhorn_solve(dense(C), beta, 0.3, uniform_potentials(3, 3)).pi
+        got = sinkhorn_solve(*dense(C), beta, 0.3, uniform_potentials(3, 3)).pi
         ref = _transport_oracle(C, beta, 0.3)
         worst_plan = max(worst_plan, float(np.max(np.abs(got - ref))))
 

@@ -552,6 +552,27 @@ def test_summarize_grid_layout(tmp_path):
     assert _timing_keys(out) == PIPELINE_TIMINGS
 
 
+def test_summarize_builds_its_sample_set_once(tmp_path, monkeypatch):
+    # CV and the fit share one problem of the grid layout
+    built = []
+    original = semismi.matching.grid_sample_set
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(semismi.matching, "grid_sample_set", counting)
+    monkeypatch.setattr(semismi.cli, "grid_sample_set", counting)
+    rng = np.random.default_rng(2)
+    items = _write_table(tmp_path / "items.csv", rng.standard_normal((8, 2)))
+    anchors = _write_table(tmp_path / "anchors.csv", [[i, i] for i in range(4)])
+    argv = ["summarize", "--out", str(tmp_path / "o"), "--items", items, "--grid", "2x4",
+            "--anchors", anchors, "--b", "4"]
+    assert main(argv) == 0
+    assert len(built) == 1
+    assert "cv.csv" in os.listdir(tmp_path / "o")
+
+
 def test_summarize_infeasible_final_plan_exits_3_after_writing_outputs(tmp_path, capsys):
     # at epsilon = 1e-4 every inner solve stops at its sweep cap, so the
     # final plan misses its marginals; summarize says so as estimate does

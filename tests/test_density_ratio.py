@@ -299,6 +299,18 @@ def test_ratio_model_evaluates_at_basis_points():
     assert r[0] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("method", ["pairs", "cross"])
+def test_ratio_model_rejects_a_non_finite_point_naming_its_argument(method, bad):
+    data, basis, _, _ = _features(seed=9, b=3)
+    model = RatioModel(basis, np.ones(3))
+    for side in range(2):
+        xs, ys = data.unpaired_x[:6].copy(), data.unpaired_y[:6].copy()
+        (xs, ys)[side][1, 0] = bad
+        with pytest.raises(ValueError, match=r"^points has a non-finite entry \(NaN or inf\)$"):
+            getattr(model, method)(xs, ys)
+
+
 def test_ratio_model_alpha_length_checked():
     _, basis, _, _ = _features(seed=10, b=3)
     with pytest.raises(ValueError, match="alpha has length"):

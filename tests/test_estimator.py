@@ -370,8 +370,8 @@ def test_fit_starts_from_the_independent_coupling(small_data):
     # in closed form; they must agree with mixed_linear_term and the
     # entry-wise entropy of that plan
     config = EstimatorConfig(n_basis=6, beta=0.4, seed=2, max_outer_iters=1)
-    basis = sample_basis(small_data.pooled_x, small_data.pooled_y, 6, seed=2)
-    res = fit(small_data, config, basis=basis)
+    res = fit(small_data, config)
+    basis = res.model.basis
     n, n_x, n_y = small_data.n, small_data.n_x, small_data.n_y
     K, L = feature_columns(basis, small_data.pooled_x, small_data.pooled_y)
     H = quadratic_term(K, L)
@@ -387,8 +387,8 @@ def test_fit_linear_term_is_mixed_linear_term_of_its_plan(small_data):
     # fit builds h from the plan's feature mass; it must be the same bits
     # as mixed_linear_term on that plan, so alpha solves that h
     config = EstimatorConfig(n_basis=6, beta=0.4, seed=2, max_outer_iters=3)
-    basis = sample_basis(small_data.pooled_x, small_data.pooled_y, 6, seed=2)
-    res = fit(small_data, config, basis=basis)
+    res = fit(small_data, config)
+    basis = res.model.basis
     n = small_data.n
     K, L = feature_columns(basis, small_data.pooled_x, small_data.pooled_y)
     H = quadratic_term(K, L)
@@ -414,7 +414,7 @@ def test_fit_permutation_of_unpaired_x(small_data):
     # rows and leaves the SMI value untouched
     basis = sample_basis(small_data.pooled_x, small_data.pooled_y, 6, seed=4)
     cfg = EstimatorConfig(n_basis=6, beta=0.5, seed=4)
-    base = fit(small_data, cfg, basis=basis)
+    base = estimator._Problem(small_data, basis).fit(cfg)
 
     rng = np.random.default_rng(0)
     perm = rng.permutation(small_data.n_x)
@@ -424,7 +424,7 @@ def test_fit_permutation_of_unpaired_x(small_data):
         small_data.unpaired_x[perm],
         small_data.unpaired_y,
     )
-    other = fit(permuted, cfg, basis=basis)
+    other = estimator._Problem(permuted, basis).fit(cfg)
     np.testing.assert_allclose(other.plan.pi, base.plan.pi[perm], atol=1e-10)
     assert smi_estimate(other.model, permuted) == pytest.approx(
         smi_estimate(base.model, small_data), abs=1e-10
@@ -506,7 +506,8 @@ def test_fit_singular_ridge_system_takes_jitter_path(small_data):
     H = quadratic_term(K_all, L_all)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(H)
-    res = fit(small_data, EstimatorConfig(n_basis=6, beta=1.0, lam=0.0, seed=0), basis=basis)
+    config = EstimatorConfig(n_basis=6, beta=1.0, lam=0.0, seed=0)
+    res = estimator._Problem(small_data, basis).fit(config)
     n = small_data.n
     h = mixed_linear_term(
         K_all[:, :n], L_all[:, :n], K_all[:, n:], L_all[:, n:],
@@ -516,9 +517,11 @@ def test_fit_singular_ridge_system_takes_jitter_path(small_data):
     np.testing.assert_allclose(res.model.alpha, solve_alpha(H, h, 0.0), rtol=1e-12)
 
 
-def test_fit_respects_explicit_basis(small_data, small_basis):
-    res = fit(small_data, EstimatorConfig(n_basis=6, seed=6), basis=small_basis)
-    assert res.model.basis is small_basis
+def test_fit_samples_its_basis_from_the_pools_by_the_config(small_data):
+    res = fit(small_data, EstimatorConfig(n_basis=6, seed=6))
+    expected = sample_basis(small_data.pooled_x, small_data.pooled_y, 6, seed=6)
+    for name in ("x_basis", "y_basis", "sigma_x", "sigma_y"):
+        np.testing.assert_array_equal(getattr(res.model.basis, name), getattr(expected, name))
 
 
 # --------------------------------------------------------------------- smi

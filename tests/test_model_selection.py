@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from semismi import (
-    CvGrid, EstimatorConfig, SampleSet, cross_validate, estimator, fit, model_selection,
+    CvGrid, EstimatorConfig, SampleSet, cross_validate, estimator, model_selection,
 )
 from semismi.kernels import sample_basis
 from semismi.model_selection import holdout_error, select_best
@@ -162,6 +162,6 @@ def test_cross_validate_scores_as_separate_fits_and_holdout_error_do(monkeypatch
     )
     basis = sample_basis(data.pooled_x, data.pooled_y, 8, 6)
     for (lam, beta), score in report.scores.items():
-        result = fit(train, replace(config, lam=lam, beta=beta), basis=basis)
+        result = estimator._Problem(train, basis).fit(replace(config, lam=lam, beta=beta))
         expected = holdout_error(result.model, data.paired_x[test_idx], data.paired_y[test_idx])
         assert score == expected

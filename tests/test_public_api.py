@@ -4,6 +4,7 @@ documents, and every exported name has a caller outside the tests."""
 import ast
 import dataclasses
 import importlib
+import inspect
 import re
 import types
 from pathlib import Path
@@ -45,6 +46,17 @@ OPTIONS = {
     semismi.SyntheticSpec: {"kind", "n", "n_x", "n_y", "seed"},
 }
 
+# The parameters of the fit path's entry points; a new one must be added here on purpose.
+PARAMETERS = {
+    semismi.fit: ("data", "config"),
+    semismi.cross_validate: ("data", "config", "grid"),
+    semismi.smi_estimate: ("model", "data"),
+    semismi.grid_summarize: ("features", "grid", "config"),
+    semismi.transport.sinkhorn_solve: (
+        "blocks", "alpha", "beta", "epsilon", "potentials", "out",
+    ),
+}
+
 SUBMODULES = ("data", "density_ratio", "estimator", "kernels", "matching", "model_selection", "transport")
 
 
@@ -80,6 +92,11 @@ def test_readme_library_section_names_nothing_unexported():
 @pytest.mark.parametrize("cls", OPTIONS, ids=lambda cls: cls.__name__)
 def test_option_fields_are_pinned(cls):
     assert {field.name for field in dataclasses.fields(cls)} == OPTIONS[cls]
+
+
+@pytest.mark.parametrize("function", PARAMETERS, ids=lambda function: function.__name__)
+def test_entry_point_parameters_are_pinned(function):
+    assert tuple(inspect.signature(function).parameters) == PARAMETERS[function]
 
 
 def _code_identifiers(tree) -> set:

@@ -17,14 +17,16 @@ from conftest import (
     dense,
     entrywise_entropy,
     independent_coupling,
+    plain,
     uniform_potentials,
 )
 
 
 def _cold(reward, beta, epsilon=0.3):
     """A solve from the independent coupling's potentials, where every fit starts."""
-    K, _, L = reward
-    return sinkhorn_solve(reward, beta, epsilon, uniform_potentials(K.shape[1], L.shape[1]))
+    blocks, alpha = reward
+    start = uniform_potentials(blocks.K.shape[1], blocks.L.shape[1])
+    return sinkhorn_solve(blocks, alpha, beta, epsilon, start)
 
 
 def _potentials(plan, shift=0.0):
@@ -113,7 +115,7 @@ def test_warm_start_reaches_same_plan():
     rng = np.random.default_rng(5)
     cost = rng.standard_normal((10, 8))
     cold = _cold(dense(cost), 0.3)
-    warm = sinkhorn_solve(dense(cost), 0.3, 0.3, _potentials(cold))
+    warm = sinkhorn_solve(*dense(cost), 0.3, 0.3, _potentials(cold))
     np.testing.assert_allclose(warm.pi, cold.pi, atol=1e-10)
     # warm start from the solution should converge almost immediately
     assert warm.iterations <= cold.iterations
@@ -130,7 +132,7 @@ def test_unusable_warm_start_falls_back_to_log_domain(shift):
     cold = _cold(dense(cost), 0.3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        warm = sinkhorn_solve(dense(cost), 0.3, 0.3, _potentials(cold, shift))
+        warm = sinkhorn_solve(*dense(cost), 0.3, 0.3, _potentials(cold, shift))
     assert warm.converged
     assert_valid_plan(warm, 10, 8, tol=1e-10)
     np.testing.assert_allclose(warm.pi, cold.pi, atol=1e-10)
@@ -154,20 +156,11 @@ def test_iteration_cap_warns_and_flags(monkeypatch):
     assert plan.marginal_error > transport.MARGINAL_TOL
 
 
-def test_a_plan_must_be_a_matrix():
-    with pytest.raises(ValueError, match=r"^plan must be a matrix, got shape \(3,\)$"):
-        TransportPlan(np.zeros(3), np.zeros(3), np.zeros(1), 0.0, True, 0.0, 0, np.zeros(0))
-
-
 def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
         _cold(dense(np.array([[np.nan, 0.0]])), 0.5)
-    with pytest.raises(ValueError):
-        _cold(dense(np.zeros((2, 2))), 1.5)
-    with pytest.raises(ValueError):
-        _cold(dense(np.zeros((2, 2))), -0.1)
     with pytest.raises(ValueError, match="^starting potentials do not match the cost shape$"):
-        sinkhorn_solve(dense(np.zeros((2, 3))), 0.5, 1.0, (np.zeros(3), np.zeros(2)))
+        sinkhorn_solve(*dense(np.zeros((2, 3))), 0.5, 1.0, (np.zeros(3), np.zeros(2)))
 
 
 def test_plan_entropy_uniform():
@@ -202,7 +195,7 @@ FALLBACK_COST = np.random.default_rng(5).standard_normal((10, 8))
 def _fallback_plan():
     reward = dense(FALLBACK_COST)
     init = _fallback_init(reward, 0.3)
-    return sinkhorn_solve(reward, 0.3, 0.3, init)
+    return sinkhorn_solve(*reward, 0.3, 0.3, init)
 
 
 def _factors(seed, b=5, n_x=30, n_y=20, scale=3.0):
@@ -226,7 +219,7 @@ DUAL_ENTROPY_PLANS = {
     "single-row": lambda: _cold(dense(np.array([[3.0, -1.0, 0.5]])), 0.2),
     "warm-start-fallback": _fallback_plan,
     "uniform": lambda: _independent_coupling_plan(4, 6),
-    "factored": lambda: _cold(_factors(13), 0.2),
+    "factored": lambda: _cold(plain(*_factors(13)), 0.2),
 }
 
 
@@ -254,7 +247,7 @@ def test_scalings_past_threshold_are_absorbed(shift):
     assert np.all(np.abs(np.log(first_row_scalings)) > transport.ABSORB_THRESHOLD)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        warm = sinkhorn_solve(dense(cost), 0.3, 0.3, (phi, psi))
+        warm = sinkhorn_solve(*dense(cost), 0.3, 0.3, (phi, psi))
     assert warm.converged
     assert_valid_plan(warm, 10, 8, tol=1e-10)
     np.testing.assert_allclose(warm.pi, cold.pi, atol=1e-10)
@@ -299,7 +292,7 @@ def test_factored_and_dense_rewards_give_the_same_plan():
     # (K, alpha, L) and the matrix cost_matrix builds from them are one
     # reward: the plans agree to MARGINAL_TOL per entry in the same sweeps
     K, alpha, L = _factors(14)
-    factored = _cold((K, alpha, L), 0.2)
+    factored = _cold(plain(K, alpha, L), 0.2)
     matrix = _cold(dense(cost_matrix(alpha, K, L)), 0.2)
     assert factored.converged and matrix.converged
     assert factored.iterations == matrix.iterations
@@ -312,7 +305,7 @@ def test_factored_and_dense_rewards_give_the_same_plan():
 
 def test_feature_mass_is_the_unpaired_linear_term_bit_for_bit():
     K, alpha, L = _factors(15)
-    plan = _cold((K, alpha, L), 0.3)
+    plan = _cold(plain(K, alpha, L), 0.3)
     np.testing.assert_array_equal(plan.feature_mass, weighted_feature_sum(K, L, plan.pi))
     # beta = 0 with no pairs leaves only the unpaired part
     no_pairs = np.zeros((K.shape[0], 0))
@@ -324,7 +317,7 @@ def test_feature_mass_is_the_unpaired_linear_term_bit_for_bit():
 @pytest.mark.parametrize("n_x, n_y", [(1, 7), (7, 1)])
 def test_single_row_or_column_plans_carry_the_mass(n_x, n_y):
     K, alpha, L = _factors(16, n_x=n_x, n_y=n_y)
-    plan = _cold((K, alpha, L), 0.5)
+    plan = _cold(plain(K, alpha, L), 0.5)
     np.testing.assert_allclose(plan.pi, 1.0 / 7.0, atol=1e-15)
     np.testing.assert_array_equal(plan.feature_mass, weighted_feature_sum(K, L, plan.pi))
 
@@ -332,15 +325,15 @@ def test_single_row_or_column_plans_carry_the_mass(n_x, n_y):
 def test_rejects_bad_factors():
     K, alpha, L = _factors(17)
     with pytest.raises(ValueError, match="factors"):
-        _cold((K, alpha[:-1], L), 0.5)
+        _cold(plain(K, alpha[:-1], L), 0.5)
     with pytest.raises(ValueError, match="factors"):
-        _cold((K, alpha, L[:-1]), 0.5)
+        _cold(plain(K, alpha, L[:-1]), 0.5)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
-            _cold((K, np.where(np.arange(5) == 2, bad, alpha), L), 0.5)
+            _cold(plain(K, np.where(np.arange(5) == 2, bad, alpha), L), 0.5)
     # finite factors whose product overflows are a non-finite reward too
     with pytest.raises(ValueError, match="non-finite"):
-        _cold((K, np.full(5, 1e308), L), 0.5)
+        _cold(plain(K, np.full(5, 1e308), L), 0.5)
 
 
 def test_a_non_finite_reward_is_reported_without_a_numpy_warning():
@@ -349,18 +342,18 @@ def test_a_non_finite_reward_is_reported_without_a_numpy_warning():
         warnings.simplefilter("error")
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="non-finite"):
-                _cold((K, np.where(np.arange(5) == 2, bad, alpha), L), 0.5)
+                _cold(plain(K, np.where(np.arange(5) == 2, bad, alpha), L), 0.5)
         with pytest.raises(ValueError, match="non-finite"):
-            _cold((K, np.full(5, 1e308), L), 0.5)
+            _cold(plain(K, np.full(5, 1e308), L), 0.5)
         with pytest.raises(ValueError, match="non-finite"):
-            _cold((K, alpha, L), 0.5, epsilon=1e-320)
+            _cold(plain(K, alpha, L), 0.5, epsilon=1e-320)
 
 
 def test_a_non_finite_reward_is_reported_from_a_converged_plans_potentials():
     # a NaN or +inf entry, or a row that is all -inf, leaves the warm
     # kernel unusable, so the entry-wise check runs and reports it
     K, alpha, L = _factors(17)
-    warm = _potentials(_cold((K, alpha, L), 0.5))
+    warm = _potentials(_cold(plain(K, alpha, L), 0.5))
     k = alpha.argmax()
     assert alpha[k] > 0.0 and L[k].min() > 0.0
     with warnings.catch_warnings():
@@ -369,7 +362,7 @@ def test_a_non_finite_reward_is_reported_from_a_converged_plans_potentials():
             bad_K = K.copy()
             bad_K[k, 3] = bad  # row 3 of S becomes bad
             with pytest.raises(ValueError, match="non-finite"):
-                sinkhorn_solve((bad_K, alpha, L), 0.5, 0.3, warm)
+                sinkhorn_solve(*plain(bad_K, alpha, L), 0.5, 0.3, warm)
 
 
 @pytest.mark.parametrize("shift", [0.0, 800.0])
@@ -380,11 +373,11 @@ def test_an_isolated_minus_inf_reward_entry_gives_a_zero_plan_entry(shift):
     rng = np.random.default_rng(18)
     K = np.vstack([[1e200, 1e-200, 1e-200], rng.random(3)])
     L = np.vstack([[1e200, 1e-200, 1e-200, 1e-200], rng.random(4)])
-    reward = (K, np.array([-1.0, 1.0]), L)
+    reward = plain(K, np.array([-1.0, 1.0]), L)
     cold = _cold(reward, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        plan = sinkhorn_solve(reward, 0.5, 0.3, _potentials(cold, shift))
+        plan = sinkhorn_solve(*reward, 0.5, 0.3, _potentials(cold, shift))
     assert plan.converged
     assert plan.pi[0, 0] == 0.0
     assert_valid_plan(plan, 3, 4, tol=1e-10)
@@ -393,19 +386,35 @@ def test_an_isolated_minus_inf_reward_entry_gives_a_zero_plan_entry(shift):
 
 @pytest.mark.parametrize("n_x, n_y", [(0, 4), (4, 0)])
 def test_a_reward_with_an_empty_side_is_rejected_naming_the_shapes(n_x, n_y):
-    K, alpha, L = _factors(18, n_x=n_x, n_y=n_y)
-    shapes = rf"got \(5, {n_x}\), \(5,\), \(5, {n_y}\)$"
-    with pytest.raises(ValueError, match="n_x, n_y >= 1; " + shapes):
-        sinkhorn_solve((K, alpha, L), 0.5, 0.3, (np.zeros(n_x), np.zeros(n_y)))
+    # the blocks are checked once, where a fit builds them, not by each solve
+    K, _, L = _factors(18, n_x=n_x, n_y=n_y)
+    shapes = rf"b, n_x, n_y >= 1; got \(5, {n_x}\), \(5, {n_y}\)$"
+    for build in (transport._FeatureBlocks, transport._FeatureBlocks.factored):
+        with pytest.raises(ValueError, match=shapes):
+            build(K, L)
+
+
+@pytest.mark.parametrize(
+    "K_shape, L_shape",
+    [((5, 3), (4, 3)), ((0, 3), (0, 4)), ((5,), (5, 4)), ((5, 3), (5, 4, 1))],
+    ids=["b-mismatch", "no-basis", "vector", "three-axes"],
+)
+def test_feature_blocks_reject_mismatched_or_empty_blocks_naming_the_shapes(K_shape, L_shape):
+    K, L = np.ones(K_shape), np.ones(L_shape)
+    shapes = re.escape(f"{K_shape}, {L_shape}")
+    message = rf"must have shapes \(b, n_x\), \(b, n_y\) .*; got {shapes}$"
+    for build in (transport._FeatureBlocks, transport._FeatureBlocks.factored):
+        with pytest.raises(ValueError, match=message):
+            build(K, L)
 
 
 def test_a_reward_bound_past_the_largest_double_falls_back_to_the_exact_check():
     # the kernel of S = diag(alpha) overflows, but S is finite, so the
     # solve goes on through the log-domain pass, with no warning
-    reward = (np.eye(2), np.full(2, 6e307), np.eye(2))
+    reward = plain(np.eye(2), np.full(2, 6e307), np.eye(2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        plan = sinkhorn_solve(reward, 0.0, 1.0, uniform_potentials(2, 2))
+        plan = sinkhorn_solve(*reward, 0.0, 1.0, uniform_potentials(2, 2))
     assert plan.converged
     np.testing.assert_array_equal(plan.pi, np.eye(2) / 2)
 
@@ -416,11 +425,11 @@ def test_a_solve_forms_no_plan_sized_temporary():
     # plan, and never two b x n products at once
     rng = np.random.default_rng(4)
     n, b = 1000, 20
-    reward = (rng.random((b, n)), rng.standard_normal(b), rng.random((b, n)))
+    reward = plain(rng.random((b, n)), rng.standard_normal(b), rng.random((b, n)))
     out = np.empty((n, n))
     tracemalloc.start()
     try:
-        plan = sinkhorn_solve(reward, 0.5, 0.3, uniform_potentials(n, n), out)
+        plan = sinkhorn_solve(*reward, 0.5, 0.3, uniform_potentials(n, n), out)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -527,7 +536,7 @@ FAST = dict(cost=np.random.default_rng(11).standard_normal((60, 50)), beta=0.5, 
 
 def _solve_both(case):
     init = uniform_potentials(*case["cost"].shape)
-    plan = sinkhorn_solve(dense(case["cost"]), case["beta"], case["epsilon"], init)
+    plan = sinkhorn_solve(*dense(case["cost"]), case["beta"], case["epsilon"], init)
     return plan, _plain_sinkhorn(case["cost"], case["beta"], case["epsilon"], init)
 
 
@@ -596,9 +605,9 @@ def test_relaxed_solve_capped_at_its_convergence_sweep_reports_its_own_marginals
 # solves that end every way a solve can; init None is the independent
 # coupling's potentials
 POTENTIAL_CASES = {
-    "1x12": lambda: (_factors(18, n_x=1, n_y=12), 0.5, 0.3, None, {}),
-    "12x1": lambda: (_factors(18, n_x=12, n_y=1), 0.5, 0.3, None, {}),
-    "converged": lambda: (_factors(13), 0.2, 0.3, None, {}),
+    "1x12": lambda: (plain(*_factors(18, n_x=1, n_y=12)), 0.5, 0.3, None, {}),
+    "12x1": lambda: (plain(*_factors(18, n_x=12, n_y=1)), 0.5, 0.3, None, {}),
+    "converged": lambda: (plain(*_factors(13)), 0.2, 0.3, None, {}),
     "relaxed": lambda: (dense(SLOW["cost"]), SLOW["beta"], SLOW["epsilon"], None, {}),
     "capped": lambda: (
         dense(50.0 * np.random.default_rng(6).standard_normal((20, 20))),
@@ -618,14 +627,15 @@ def test_plans_are_their_potentials_and_reward(case, monkeypatch):
     # log pi = phi + S + psi holds for every plan, which the recorded
     # entropy and the next warm start both rely on
     reward, beta, epsilon, init, overrides = case()
-    K, alpha, L = reward
+    blocks, alpha = reward
+    K, L = blocks.K, blocks.L
     if init is None:
         init = uniform_potentials(K.shape[1], L.shape[1])
     for name, value in overrides.items():
         monkeypatch.setattr(transport, name, value)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the capped solve's report
-        plan = sinkhorn_solve(reward, beta, epsilon, init)
+        plan = sinkhorn_solve(*reward, beta, epsilon, init)
     S = (1.0 - beta) / epsilon * cost_matrix(alpha, K, L)
     gibbs = np.exp(plan.row_potential[:, None] + S + plan.col_potential[None, :])
     # relative to 1e-12 wherever pi is a normal float (the capped plan has
@@ -636,10 +646,10 @@ def test_plans_are_their_potentials_and_reward(case, monkeypatch):
 def test_solve_in_a_given_buffer_gives_the_same_plan():
     rng = np.random.default_rng(12)
     K, L = rng.random((4, 9)), rng.random((4, 7))
-    reward = (K, rng.standard_normal(4), L)
+    reward = plain(K, rng.standard_normal(4), L)
     fresh = _cold(reward, 0.3)
     out = np.full((9, 7), np.nan)
-    plan = sinkhorn_solve(reward, 0.3, 0.3, uniform_potentials(9, 7), out)
+    plan = sinkhorn_solve(*reward, 0.3, 0.3, uniform_potentials(9, 7), out)
     assert plan.pi is out
     assert np.array_equal(plan.pi, fresh.pi)
     assert plan.entropy == fresh.entropy and plan.iterations == fresh.iterations
@@ -651,9 +661,9 @@ def test_solve_in_a_given_buffer_gives_the_same_plan():
 )
 def test_solve_rejects_an_unusable_buffer(out):
     rng = np.random.default_rng(12)
-    reward = (rng.random((4, 9)), rng.standard_normal(4), rng.random((4, 7)))
+    reward = plain(rng.random((4, 9)), rng.standard_normal(4), rng.random((4, 7)))
     with pytest.raises(ValueError, match="^out must be a C-contiguous float64 array"):
-        sinkhorn_solve(reward, 0.3, 0.3, uniform_potentials(9, 7), out)
+        sinkhorn_solve(*reward, 0.3, 0.3, uniform_potentials(9, 7), out)
 
 
 # ------------------------------------------------------- factored feature blocks
@@ -710,10 +720,10 @@ def test_full_rank_blocks_keep_the_plain_factors_and_their_bits():
     assert blocks.factors is None
     alpha = np.random.default_rng(3).standard_normal(K.shape[0])
     start = uniform_potentials(K.shape[1], L.shape[1])
-    via_blocks = sinkhorn_solve((blocks, alpha), 0.5, 0.3, start)
-    plain = sinkhorn_solve((K, alpha, L), 0.5, 0.3, start)
-    np.testing.assert_array_equal(via_blocks.pi, plain.pi)
-    np.testing.assert_array_equal(via_blocks.feature_mass, plain.feature_mass)
+    via_blocks = sinkhorn_solve(blocks, alpha, 0.5, 0.3, start)
+    unfactored = sinkhorn_solve(*plain(K, alpha, L), 0.5, 0.3, start)
+    np.testing.assert_array_equal(via_blocks.pi, unfactored.pi)
+    np.testing.assert_array_equal(via_blocks.feature_mass, unfactored.feature_mass)
 
 
 def test_a_rank_that_only_the_qr_resolves_decides_too():
@@ -738,9 +748,9 @@ def test_a_solve_on_factored_blocks_matches_the_plain_one():
     assert blocks.factors is not None
     alpha = np.random.default_rng(4).standard_normal(K.shape[0])
     start = uniform_potentials(K.shape[1], L.shape[1])
-    factored = sinkhorn_solve((blocks, alpha), 0.5, 0.3, start)
-    plain = sinkhorn_solve((K, alpha, L), 0.5, 0.3, start)
-    assert factored.converged and plain.converged
-    np.testing.assert_allclose(factored.pi, plain.pi, rtol=0.0, atol=transport.MARGINAL_TOL)
-    np.testing.assert_allclose(factored.feature_mass, plain.feature_mass, rtol=1e-10)
-    assert factored.entropy == pytest.approx(plain.entropy, rel=1e-12)
+    factored = sinkhorn_solve(blocks, alpha, 0.5, 0.3, start)
+    unfactored = sinkhorn_solve(*plain(K, alpha, L), 0.5, 0.3, start)
+    assert factored.converged and unfactored.converged
+    np.testing.assert_allclose(factored.pi, unfactored.pi, rtol=0.0, atol=transport.MARGINAL_TOL)
+    np.testing.assert_allclose(factored.feature_mass, unfactored.feature_mass, rtol=1e-10)
+    assert factored.entropy == pytest.approx(unfactored.entropy, rel=1e-12)

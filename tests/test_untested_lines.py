@@ -54,4 +54,5 @@ def test_untested_lines_lists_what_a_small_test_file_leaves_out(tmp_path):
         n = sum(line.startswith(f"{name}:") and line not in counts for line in listed)
         assert f"{name}: {n} untested statements" in counts
     # importing the package runs no solve
-    assert any(line.endswith(": n_x, n_y = K.shape[1], L.shape[1]") for line in listed)
+    first_statement = ": n_x, n_y = blocks.K.shape[1], blocks.L.shape[1]"
+    assert any(line.endswith(first_statement) for line in listed)
