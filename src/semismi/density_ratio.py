@@ -8,7 +8,6 @@ positive-definite solve; no iterative optimizer is involved.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,7 +145,7 @@ def mixed_linear_term(
 
 
 class RidgeSystem:
-    """The ridge system H + lam I, eigendecomposed once for many right-hand sides.
+    """The ridge systems H + lam I of one H, eigendecomposed once for every lam.
 
     H = Q diag(w) Q^T is computed once and each :meth:`solve` is
     alpha = Q ((Q^T h) / (w + ridge)).  Only the shift w + ridge depends
@@ -157,7 +156,8 @@ class RidgeSystem:
     H + ridge I requires.  A non-finite alpha or a relative residual
     above ``SOLVE_RTOL`` falls back to the ridge plus a tiny
     trace-proportional jitter; failing that the solve raises, since a
-    larger ``lam`` is then the correct fix.
+    larger ``lam`` is then the correct fix.  H is checked once, here, h
+    at each solve, and lam by ``EstimatorConfig`` or :func:`solve_alpha`.
 
     numpy decomposes, not scipy, so a fit loads only numpy's OpenBLAS
     (``kernels`` forms its distances with numpy too).  scipy bundles a
@@ -171,12 +171,10 @@ class RidgeSystem:
     scipy's factor and 18.8 s with this one.
     """
 
-    def __init__(self, H: np.ndarray, lam: float):
+    def __init__(self, H: np.ndarray):
         H = np.asarray(H, dtype=float)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ValueError(f"H must be a square matrix, got shape {H.shape}")
-        if not 0.0 <= lam < np.inf:
-            raise ValueError(f"ridge penalty lam must be non-negative and finite, got {lam}")
         if not np.isfinite(H).all():
             raise ValueError("H has non-finite entries")
         self.H = H
@@ -184,25 +182,8 @@ class RidgeSystem:
         # The jitter depends on H alone, so it is the same for every lam.
         self._jitter = JITTER_SCALE * float(np.trace(H)) / max(self.b, 1)
         self._w, self._Q = np.linalg.eigh(H)
-        self._shifted = self._ridges(lam)
 
-    def _ridges(self, lam: float) -> list:
-        """(ridge, w + ridge) per usable ridge at ``lam``, in the order solve tries them."""
-        lam = float(lam)
-        return [
-            (ridge, self._w + ridge)
-            for ridge in (lam, lam + self._jitter)
-            if (self._w + ridge > 0.0).all()
-        ]
-
-    def _with_lam(self, lam: float) -> RidgeSystem:
-        """H + lam I on this decomposition, without a new ``eigh``; ``lam``
-        is a checked ``EstimatorConfig.lam``."""
-        system = copy.copy(self)
-        system._shifted = self._ridges(lam)
-        return system
-
-    def solve(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def solve(self, h: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """alpha = (H + lam I)^{-1} h, retried once with jitter as described above.
 
         Returns (alpha, H alpha): the residual check forms the product,
@@ -218,7 +199,10 @@ class RidgeSystem:
             return np.zeros(self.b), np.zeros(self.b)
         tol = SOLVE_RTOL * h_norm
         coef = self._Q.T @ h
-        for ridge, shifted in self._shifted:
+        for ridge in (lam, lam + self._jitter):
+            shifted = self._w + ridge
+            if not (shifted > 0.0).all():
+                continue
             alpha = self._Q @ (coef / shifted)
             if not np.isfinite(alpha).all():
                 continue
@@ -234,11 +218,13 @@ def solve_alpha(H: np.ndarray, h: np.ndarray, lam: float) -> np.ndarray:
     """Ridge weights alpha = (H + lam I)^{-1} h for positive-definite H + lam I.
 
     Solves the regularized normal equations through the eigendecomposition
-    of H, with the checks and jitter retry of :class:`RidgeSystem`.
-    Callers that solve against many h for one H (the alternating fit)
-    should build a :class:`RidgeSystem` once instead.
+    of H, with the checks and jitter retry of :class:`RidgeSystem`, after
+    checking ``lam``.  Callers that solve against many h for one H (the
+    alternating fit) should build a :class:`RidgeSystem` once instead.
     """
-    return RidgeSystem(H, lam).solve(h)[0]
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"ridge penalty lam must be non-negative and finite, got {lam}")
+    return RidgeSystem(H).solve(h, lam)[0]
 
 
 def ratio_pairs(alpha: np.ndarray, K: np.ndarray, L: np.ndarray) -> np.ndarray:

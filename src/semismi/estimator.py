@@ -17,7 +17,10 @@ unpaired blocks, the unpaired blocks' factors at their numerical rank
 mass at rank r, not b, when r is at most half of b), H, and one
 eigendecomposition of H that serves every lam.  A fit is a loop over
 one round function, (weights, plan) from the linear term, plus the stop
-rule; cross-validation runs all its grid fits on one problem.
+rule; cross-validation runs all its grid fits on one problem.  Each
+input is checked once, where it enters: the points by ``SampleSet``,
+the hyperparameters by ``EstimatorConfig``, the unpaired blocks' shapes
+by ``_FeatureBlocks`` and H by ``RidgeSystem``.
 """
 
 from __future__ import annotations
@@ -201,9 +204,10 @@ class _Problem:
     It holds the pooled features split into paired and unpaired blocks,
     the unpaired blocks as every solve takes them (factored at their
     numerical rank when that is at most half of b), H, and one
-    eigendecomposition of H that serves every lam.  Only lam
-    and beta differ between the fits that share a problem, as
-    cross-validation's grid fits do.
+    ``RidgeSystem`` of H, whose one eigendecomposition every fit solves
+    on at its own lam.  Only lam and beta differ between the fits that
+    share a problem, as cross-validation's grid fits do.  ``round``
+    checks nothing again: see the module docstring for who checks what.
     """
 
     def __init__(self, data: SampleSet, basis: BasisSet):
@@ -220,20 +224,20 @@ class _Problem:
         # The independent coupling's feature mass, in closed form (equal
         # to mixed_linear_term's on that plan up to rounding).
         self.uniform_mass = K_unpair.sum(axis=1) * L_unpair.sum(axis=1) / (self.n_x * self.n_y)
-        self.ridge = RidgeSystem(quadratic_term(self.K_all, self.L_all), 0.0)
+        self.ridge = RidgeSystem(quadratic_term(self.K_all, self.L_all))
         self.setup_seconds = time.perf_counter() - start
 
-    def round(self, ridge, beta, epsilon, h_paired, h, potentials, out):
+    def round(self, lam, beta, epsilon, h_paired, h, potentials, out):
         """One (weights, plan) round from the linear term ``h``.
 
-        Solves for alpha, balances the plan of its reward from
+        Solves for alpha at ``lam``, balances the plan of its reward from
         ``potentials`` in the buffer ``out`` (see
         :func:`~semismi.transport.sinkhorn_solve`), and returns
         (alpha, H alpha, plan, the plan's linear term).  Each solve
         returns the feature mass of its plan: mixed_linear_term's bits
         on plain blocks, its value to rounding on factored ones.
         """
-        alpha, H_alpha = ridge.solve(h)
+        alpha, H_alpha = self.ridge.solve(h, lam)
         plan = sinkhorn_solve(self.blocks, alpha, beta, epsilon, potentials, out)
         return alpha, H_alpha, plan, h_paired + (1.0 - beta) * plan.feature_mass
 
@@ -242,7 +246,6 @@ class _Problem:
         on this problem's data and basis."""
         n_x, n_y = self.n_x, self.n_y
         lam, beta, epsilon = config.lam, config.beta, config.epsilon
-        ridge = self.ridge._with_lam(lam)
         start = time.perf_counter()
         # h = paired part + (1 - beta) * the plan's feature mass.  The first
         # plan is the independent coupling, all of whose entries equal pi:
@@ -257,7 +260,7 @@ class _Problem:
         spare = None
         for t in range(1, config.max_outer_iters + 1):
             alpha, H_alpha, plan, h_next = self.round(
-                ridge, beta, epsilon, h_paired, h, potentials, spare
+                lam, beta, epsilon, h_paired, h, potentials, spare
             )
             if t == 1:
                 trace.append(objective(H_alpha, h, alpha, entropy, lam, epsilon))

@@ -311,20 +311,20 @@ def median_heuristic(samples, seed: int = 0) -> float:
     return med / float(np.sqrt(2.0))
 
 
-def gaussian_gram(centers, points, sigma: float) -> np.ndarray:
+def gaussian_gram(centers, points, sigma: float, name: str = "points") -> np.ndarray:
     """Kernel matrix G[l, i] = exp(-||c_l - p_i||^2 / (2 sigma^2)).
 
-    A center or point with a NaN or infinite coordinate is a
-    ``ValueError`` naming its argument.
+    A NaN or infinite coordinate is a ``ValueError`` naming its
+    argument: "centers", or ``name`` for the points.
     """
     c = as_points(centers, "centers")
-    p = as_points(points, "points")
-    for pts, name in ((c, "centers"), (p, "points")):
+    p = as_points(points, name)
+    for pts, label in ((c, "centers"), (p, name)):
         if not np.isfinite(pts).all():
-            raise ValueError(f"{name} has a non-finite entry (NaN or inf)")
+            raise ValueError(f"{label} has a non-finite entry (NaN or inf)")
     if c.shape[1] != p.shape[1]:
         raise ValueError(
-            f"dimension mismatch: centers have d={c.shape[1]}, points d={p.shape[1]}"
+            f"dimension mismatch: centers have d={c.shape[1]}, {name} d={p.shape[1]}"
         )
     sigma = _check_sigma(sigma)
     G = _squared_distances(c, p)
@@ -396,8 +396,8 @@ def feature_columns(basis: BasisSet, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample kernel columns (K, L) with K[l, i] = K(x_basis_l, xs_i).
 
     The joint feature of a pair (xs_i, ys_j) is the Hadamard product of
-    column i of K with column j of L.
+    column i of K with column j of L.  A non-finite point names its side.
     """
-    K = gaussian_gram(basis.x_basis, xs, basis.sigma_x)
-    L = gaussian_gram(basis.y_basis, ys, basis.sigma_y)
+    K = gaussian_gram(basis.x_basis, xs, basis.sigma_x, "xs")
+    L = gaussian_gram(basis.y_basis, ys, basis.sigma_y, "ys")
     return K, L

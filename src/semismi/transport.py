@@ -30,6 +30,12 @@ and their arithmetic, to the bit; full-rank features, such as those of
 32-d tables, are cheaper that way.  The sweeps, absorptions, checks and
 stop rules below are one loop for both.
 
+A solve checks only what arises in it: S, the scalings, and a capped
+plan's entropy and feature mass.  ``_FeatureBlocks`` checks the blocks'
+shapes once and ``EstimatorConfig`` beta and epsilon; alpha, the
+potentials and the plan buffer come from ``estimator._Problem.round``,
+the only caller, which sizes them from those blocks.
+
 The solver keeps dual potentials in log space and absorbs the running
 scaling factors into them whenever one leaves
 [exp(-ABSORB_THRESHOLD), exp(ABSORB_THRESHOLD)] (Schmitzer's
@@ -75,7 +81,6 @@ from .density_ratio import ratio_cross, weighted_feature_sum
 __all__ = [
     "TransportPlan",
     "cost_matrix",
-    "sinkhorn_solve",
     "plan_entropy",
 ]
 
@@ -307,14 +312,14 @@ def sinkhorn_solve(
     plan's entropy or feature mass is not finite; that, or a sweep whose
     scalings leave the range of doubles, raises a ``ValueError`` naming
     beta and epsilon, without a numpy warning.  Both constants are read
-    at each call.  ``beta`` and ``epsilon`` are checked by
-    ``EstimatorConfig``, not here.
+    at each call.  The inputs are checked where they are built (see the
+    module docstring); a wrong-length alpha fails in numpy's broadcast.
 
-    The dual potentials start from ``potentials``, a (row, column)
-    pair: a previous solve's on a nearby reward, or the independent
-    coupling's (-log n_x, -log n_y), where ``fit`` starts.
+    The dual potentials start from a copy of ``potentials``, a (n_x,),
+    (n_y,) pair: a previous solve's on a nearby reward, or the
+    independent coupling's (-log n_x, -log n_y), where ``fit`` starts.
 
-    The plan is formed in ``out``, a C-contiguous float n_x x n_y
+    The plan is formed in ``out``, a C-contiguous float64 n_x x n_y
     buffer whose contents are ignored, or in a new array when it is
     None.  ``fit`` passes the plan of two solves back, so a fit touches
     two plan-sized buffers instead of a fresh one per solve, which the
@@ -339,30 +344,14 @@ def sinkhorn_solve(
     <pi, C> = alpha^T m.
     """
     n_x, n_y = blocks.K.shape[1], blocks.L.shape[1]
-    if alpha.shape != blocks.K.shape[:1]:
-        raise ValueError(
-            f"reward factors have b = {blocks.K.shape[0]}, got alpha of shape {alpha.shape}"
-        )
     phi, psi = (p.copy() for p in potentials)
-    if phi.shape != (n_x,) or psi.shape != (n_y,):
-        raise ValueError("starting potentials do not match the cost shape")
 
     # S = scale * C is never stored on its own: it is formed by one GEMM
     # of the factors in the buffer M, where every kernel and finally the
     # plan are formed too.  Non-finite factors, or a product that
     # overflows, leave a non-finite entry in S.
     scale = (1.0 - beta) / epsilon
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled_alpha = scale * alpha
-    if out is None:
-        M = np.empty((n_x, n_y))
-    elif out.shape != (n_x, n_y) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(
-            f"out must be a C-contiguous float64 array of shape {(n_x, n_y)}, got "
-            f"{out.dtype} {out.shape}"
-        )
-    else:
-        M = out
+    M = np.empty((n_x, n_y)) if out is None else out
     M_T = M.T
 
     def log_kernel(p, q):
@@ -423,9 +412,10 @@ def sinkhorn_solve(
     omega = 1.0
     may_relax = True
     last_err = last_ratio = err_at_switch = np.inf
-    # One errstate per solve: the kernel step, the sweep test and the check
-    # of a capped plan below handle overflow.
+    # One errstate per solve: S (scaled_alpha may overflow), the kernel step,
+    # the sweep test and the check of a capped plan below handle overflow.
     with np.errstate(all="ignore"):
+        scaled_alpha = scale * alpha
         Kv, it = absorbed_kernel()
         while it < MAX_SWEEPS:
             it += 1

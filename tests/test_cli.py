@@ -380,9 +380,9 @@ def test_match_forms_each_gram_once(tmp_path, monkeypatch):
     grams = []
     gram = semismi.kernels.gaussian_gram
 
-    def counting_gram(centers, points, sigma):
+    def counting_gram(centers, points, *rest):
         grams.append((np.shape(centers), np.shape(points)))
-        return gram(centers, points, sigma)
+        return gram(centers, points, *rest)
 
     monkeypatch.setattr(semismi.kernels, "gaussian_gram", counting_gram)
     code = main(

@@ -147,7 +147,7 @@ def test_jitter_rescues_a_solve_whose_alpha_overflows():
     # that alpha is not finite, so the jittered ridge solves instead
     jitter = JITTER_SCALE * 0.5  # trace(H) / b
     with np.errstate(over="ignore", invalid="ignore"):
-        alpha, _ = RidgeSystem(np.diag([1.0, 0.0]), 5e-324).solve([1.0, 1.0])
+        alpha, _ = RidgeSystem(np.diag([1.0, 0.0])).solve([1.0, 1.0], 5e-324)
     np.testing.assert_allclose(alpha, [1.0 / (1.0 + jitter), 1.0 / jitter], rtol=1e-12)
 
 
@@ -155,8 +155,8 @@ SHAPE_ERRORS = {
     "basis-rows": (lambda: quadratic_term(np.ones((2, 3)), np.ones((3, 3))), "same number of basis rows"),
     "empty-side": (lambda: quadratic_term(np.ones((2, 0)), np.ones((2, 3))), "at least one sample per side"),
     "paired-blocks": (lambda: paired_linear_term(np.ones((2, 3)), np.ones((2, 4)), 0.5), "share shape"),
-    "non-square-H": (lambda: RidgeSystem(np.ones((2, 3)), 0.1), r"square matrix, got shape \(2, 3\)"),
-    "h-length": (lambda: RidgeSystem(np.eye(2), 0.1).solve(np.ones(3)), "^h has length 3, expected 2$"),
+    "non-square-H": (lambda: RidgeSystem(np.ones((2, 3))), r"square matrix, got shape \(2, 3\)"),
+    "h-length": (lambda: RidgeSystem(np.eye(2)).solve(np.ones(3), 0.1), "^h has length 3, expected 2$"),
 }
 
 
@@ -182,24 +182,40 @@ def test_solve_alpha_rejects_negative_ridge():
 
 def test_ridge_system_rejects_non_finite_H():
     with pytest.raises(ValueError, match="H has non-finite"):
-        RidgeSystem(np.diag([1.0, np.nan]), 0.1)
+        RidgeSystem(np.diag([1.0, np.nan]))
 
 
-def test_ridge_system_matches_dense_solve_on_gaussian_features():
-    # the b = 200 system a default fit builds, at every lambda of the
-    # CV grid; H is singular to rounding, so at lam = 1e-4
-    # H + lam I has condition ~3e5
+def _gaussian_system():
+    """The b = 200 H a default fit builds, and h at the independent coupling."""
     data, _, K_all, L_all = _features(seed=4, b=200, n=100, n_x=300, n_y=300)
-    H = quadratic_term(K_all, L_all)
     n = data.n
     h = mixed_linear_term(
         K_all[:, :n], L_all[:, :n], K_all[:, n:], L_all[:, n:],
         independent_coupling(data.n_x, data.n_y), 0.5,
     )
+    return quadratic_term(K_all, L_all), h
+
+
+def test_ridge_system_matches_dense_solve_on_gaussian_features():
+    # at every lambda of the CV grid; H is singular to rounding, so at
+    # lam = 1e-4 H + lam I has condition ~3e5
+    H, h = _gaussian_system()
     for lam in LAMBDAS:
         expected = np.linalg.solve(H + lam * np.eye(200), h)
-        got, _ = RidgeSystem(H, lam).solve(h)
+        got, _ = RidgeSystem(H).solve(h, lam)
         assert np.linalg.norm(got - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+def test_one_ridge_system_solves_every_lambda_as_a_fresh_one():
+    # a fit problem keeps one decomposition for every lam of the CV grid,
+    # in whatever order the grid visits them; no solve may leave state
+    # that moves the next one's bits
+    H, h = _gaussian_system()
+    shared = RidgeSystem(H)
+    for lam in LAMBDAS + LAMBDAS[::-1]:
+        alpha, H_alpha = shared.solve(h, lam)
+        fresh_alpha, fresh_H_alpha = RidgeSystem(H).solve(h, lam)
+        assert np.array_equal(alpha, fresh_alpha) and np.array_equal(H_alpha, fresh_H_alpha)
 
 
 def _cholesky_solves(H, h, lam):
@@ -250,7 +266,7 @@ def test_ridge_system_solves_exactly_when_cholesky_does():
         for lam in (0.0, 1e-4, 1e-2, 1.0):
             expected = _cholesky_solves(H, h, lam)
             try:
-                RidgeSystem(H, lam).solve(h)
+                RidgeSystem(H).solve(h, lam)
                 solved = True
             except np.linalg.LinAlgError:
                 solved = False
@@ -304,10 +320,10 @@ def test_ratio_model_evaluates_at_basis_points():
 def test_ratio_model_rejects_a_non_finite_point_naming_its_argument(method, bad):
     data, basis, _, _ = _features(seed=9, b=3)
     model = RatioModel(basis, np.ones(3))
-    for side in range(2):
+    for side, name in enumerate(("xs", "ys")):
         xs, ys = data.unpaired_x[:6].copy(), data.unpaired_y[:6].copy()
         (xs, ys)[side][1, 0] = bad
-        with pytest.raises(ValueError, match=r"^points has a non-finite entry \(NaN or inf\)$"):
+        with pytest.raises(ValueError, match=rf"^{name} has a non-finite entry \(NaN or inf\)$"):
             getattr(model, method)(xs, ys)
 
 

@@ -377,7 +377,7 @@ def test_fit_starts_from_the_independent_coupling(small_data):
     H = quadratic_term(K, L)
     pi = independent_coupling(n_x, n_y)
     h = mixed_linear_term(K[:, :n], L[:, :n], K[:, n:], L[:, n:], pi, config.beta)
-    alpha, H_alpha = RidgeSystem(H, config.lam).solve(h)
+    alpha, H_alpha = RidgeSystem(H).solve(h, config.lam)
     np.testing.assert_allclose(res.model.alpha, alpha, rtol=1e-12)
     expected = objective(H_alpha, h, alpha, entrywise_entropy(pi), config.lam, config.epsilon)
     assert res.objective_trace[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -471,24 +471,24 @@ def test_ridge_system_jitter_matches_solve_alpha():
     # solve_alpha
     v = np.array([1.0, 0.0])
     H = np.outer(v, v)
-    system = RidgeSystem(H, 0.0)
+    system = RidgeSystem(H)
     for h in (np.array([0.0, 1.0]), np.array([2.0, -1.0])):
-        alpha, H_alpha = system.solve(h)
+        alpha, H_alpha = system.solve(h, 0.0)
         assert np.all(np.isfinite(alpha))
         np.testing.assert_array_equal(H_alpha, H @ alpha)
         np.testing.assert_allclose(alpha, solve_alpha(H, h, 0.0), rtol=1e-12)
     # a negative-definite H fails with and without jitter
-    unsalvageable = RidgeSystem(-np.eye(3), 0.0)
+    unsalvageable = RidgeSystem(-np.eye(3))
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        unsalvageable.solve(np.ones(3))
+        unsalvageable.solve(np.ones(3), 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_ridge_system_rejects_non_finite_h(bad):
-    system = RidgeSystem(np.eye(3), 0.1)
-    np.testing.assert_allclose(system.solve(np.ones(3))[0], np.ones(3) / 1.1, rtol=1e-15)
+    system = RidgeSystem(np.eye(3))
+    np.testing.assert_allclose(system.solve(np.ones(3), 0.1)[0], np.ones(3) / 1.1, rtol=1e-15)
     with pytest.raises(ValueError, match="non-finite"):
-        system.solve(np.array([1.0, bad, 0.0]))
+        system.solve(np.array([1.0, bad, 0.0]), 0.1)
 
 
 def test_fit_singular_ridge_system_takes_jitter_path(small_data):

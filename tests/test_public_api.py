@@ -55,6 +55,7 @@ PARAMETERS = {
     semismi.transport.sinkhorn_solve: (
         "blocks", "alpha", "beta", "epsilon", "potentials", "out",
     ),
+    semismi.density_ratio.RidgeSystem.solve: ("self", "h", "lam"),
 }
 
 SUBMODULES = ("data", "density_ratio", "estimator", "kernels", "matching", "model_selection", "transport")
