@@ -651,7 +651,6 @@ def test_solve_in_a_given_buffer_gives_the_same_plan():
     assert plan.entropy == fresh.entropy and plan.iterations == fresh.iterations
 
 
-
 # ------------------------------------------------------- factored feature blocks
 
 
