@@ -156,8 +156,8 @@ class RidgeSystem:
     H + ridge I requires.  A non-finite alpha or a relative residual
     above ``SOLVE_RTOL`` falls back to the ridge plus a tiny
     trace-proportional jitter; failing that the solve raises, since a
-    larger ``lam`` is then the correct fix.  H is checked once, here, h
-    at each solve, and lam by ``EstimatorConfig`` or :func:`solve_alpha`.
+    larger ``lam`` is then the correct fix.  H is checked once, here, and
+    h and lam at each solve.
 
     numpy decomposes, not scipy, so a fit loads only numpy's OpenBLAS
     (``kernels`` forms its distances with numpy too).  scipy bundles a
@@ -189,6 +189,8 @@ class RidgeSystem:
         Returns (alpha, H alpha): the residual check forms the product,
         and the fit's objective and SMI use it again.
         """
+        if not 0.0 <= lam < np.inf:
+            raise ValueError(f"ridge penalty lam must be non-negative and finite, got {lam}")
         h = np.asarray(h, dtype=float).ravel()
         if h.shape[0] != self.b:
             raise ValueError(f"h has length {h.shape[0]}, expected {self.b}")
@@ -218,12 +220,10 @@ def solve_alpha(H: np.ndarray, h: np.ndarray, lam: float) -> np.ndarray:
     """Ridge weights alpha = (H + lam I)^{-1} h for positive-definite H + lam I.
 
     Solves the regularized normal equations through the eigendecomposition
-    of H, with the checks and jitter retry of :class:`RidgeSystem`, after
-    checking ``lam``.  Callers that solve against many h for one H (the
-    alternating fit) should build a :class:`RidgeSystem` once instead.
+    of H, with the checks and jitter retry of :class:`RidgeSystem`.
+    Callers that solve against many h for one H (the alternating fit)
+    should build a :class:`RidgeSystem` once instead.
     """
-    if not 0.0 <= lam < np.inf:
-        raise ValueError(f"ridge penalty lam must be non-negative and finite, got {lam}")
     return RidgeSystem(H).solve(h, lam)[0]
 
 

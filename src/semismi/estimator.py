@@ -20,7 +20,8 @@ one round function, (weights, plan) from the linear term, plus the stop
 rule; cross-validation runs all its grid fits on one problem.  Each
 input is checked once, where it enters: the points by ``SampleSet``,
 the hyperparameters by ``EstimatorConfig``, the unpaired blocks' shapes
-by ``_FeatureBlocks`` and H by ``RidgeSystem``.
+by ``_FeatureBlocks`` and H by ``RidgeSystem``, whose every solve also
+checks its scalar lam for callers that build the system directly.
 """
 
 from __future__ import annotations

@@ -180,6 +180,15 @@ def test_solve_alpha_rejects_negative_ridge():
             solve_alpha(np.eye(2), np.ones(2), lam)
 
 
+@pytest.mark.parametrize("lam", [-0.1, np.nan, np.inf])
+def test_ridge_system_solve_rejects_a_bad_ridge(lam):
+    # the check is the solve's own, so a reused system rejects it too
+    system = RidgeSystem(np.eye(2))
+    system.solve(np.ones(2), 0.1)
+    with pytest.raises(ValueError, match="lam must be non-negative and finite"):
+        system.solve(np.ones(2), lam)
+
+
 def test_ridge_system_rejects_non_finite_H():
     with pytest.raises(ValueError, match="H has non-finite"):
         RidgeSystem(np.diag([1.0, np.nan]))

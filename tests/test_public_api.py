@@ -46,7 +46,8 @@ OPTIONS = {
     semismi.SyntheticSpec: {"kind", "n", "n_x", "n_y", "seed"},
 }
 
-# The parameters of the fit path's entry points; a new one must be added here on purpose.
+# The parameters of the fit path's entry points, and of the internal functions
+# perfbench wraps (sinkhorn_solve); a new one must be added here on purpose.
 PARAMETERS = {
     semismi.fit: ("data", "config"),
     semismi.cross_validate: ("data", "config", "grid"),
@@ -56,6 +57,7 @@ PARAMETERS = {
         "blocks", "alpha", "beta", "epsilon", "potentials", "out",
     ),
     semismi.density_ratio.RidgeSystem.solve: ("self", "h", "lam"),
+    semismi.kernels.gaussian_gram: ("centers", "points", "sigma", "name"),
 }
 
 SUBMODULES = ("data", "density_ratio", "estimator", "kernels", "matching", "model_selection", "transport")
