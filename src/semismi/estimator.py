@@ -70,18 +70,10 @@ class SampleSet:
             setattr(self, name, points)
         if self.paired_x.shape[0] != self.paired_y.shape[0]:
             raise ValueError("paired_x and paired_y must have equal length")
-        if (
-            self.paired_x.shape[0]
-            and self.unpaired_x.shape[0]
-            and self.paired_x.shape[1] != self.unpaired_x.shape[1]
-        ):
-            raise ValueError("x dimension differs between paired and unpaired samples")
-        if (
-            self.paired_y.shape[0]
-            and self.unpaired_y.shape[0]
-            and self.paired_y.shape[1] != self.unpaired_y.shape[1]
-        ):
-            raise ValueError("y dimension differs between paired and unpaired samples")
+        for side in "xy":
+            paired, pool = getattr(self, f"paired_{side}"), getattr(self, f"unpaired_{side}")
+            if paired.shape[0] and pool.shape[0] and paired.shape[1] != pool.shape[1]:
+                raise ValueError(f"{side} dimension differs between paired and unpaired samples")
         if self.n + self.n_x == 0 or self.n + self.n_y == 0:
             raise ValueError("each side needs at least one sample")
 
@@ -100,19 +92,20 @@ class SampleSet:
     @property
     def pooled_x(self) -> np.ndarray:
         """Paired x's followed by the unpaired x pool."""
-        if self.n_x == 0:
-            return self.paired_x
-        if self.n == 0:
-            return self.unpaired_x
-        return np.vstack([self.paired_x, self.unpaired_x])
+        return _pooled(self.paired_x, self.unpaired_x)
 
     @property
     def pooled_y(self) -> np.ndarray:
-        if self.n_y == 0:
-            return self.paired_y
-        if self.n == 0:
-            return self.unpaired_y
-        return np.vstack([self.paired_y, self.unpaired_y])
+        return _pooled(self.paired_y, self.unpaired_y)
+
+
+def _pooled(paired: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """The pairs followed by the pool; either array itself when the other is empty."""
+    if pool.shape[0] == 0:
+        return paired
+    if paired.shape[0] == 0:
+        return pool
+    return np.vstack([paired, pool])
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .density_ratio import RatioModel, quadratic_term
 from .estimator import EstimatorConfig, SampleSet, _Problem, fit  # noqa: F401
-from .kernels import BasisSet, as_points, feature_columns, sample_basis
+from .kernels import BasisSet, as_points, gaussian_gram, sample_basis
 
 # cross_validate fits through the problem it builds once, not through
 # ``fit``; the name stays bound here because perfbench's tests check that
@@ -64,7 +64,8 @@ class _HeldOut:
             raise ValueError("test_x and test_y must have equal length")
         if m < 2:
             raise ValueError("need at least 2 held-out pairs")
-        K, L = feature_columns(basis, test_x, test_y)
+        K = gaussian_gram(basis.x_basis, test_x, basis.sigma_x, "test_x")
+        L = gaussian_gram(basis.y_basis, test_y, basis.sigma_y, "test_y")
         self.H_te = quadratic_term(K, L)
         # ratio_pairs(alpha, K, L) is alpha @ (K * L)
         self.pair_features = K * L
@@ -110,7 +111,6 @@ def cross_validate(data: SampleSet, config: EstimatorConfig, grid: CvGrid) -> Cv
     rng = np.random.default_rng(grid.seed)
     perm = rng.permutation(n)
     n_te = int(round(n * HOLDOUT_FRACTION))
-    n_te = min(max(n_te, 2), n - 2)
     test_idx, train_idx = perm[:n_te], perm[n_te:]
 
     basis = sample_basis(data.pooled_x, data.pooled_y, config.n_basis, config.seed)

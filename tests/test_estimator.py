@@ -47,7 +47,7 @@ def test_sample_set_counts_and_pools(small_data):
 
 
 def test_sample_set_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^x dimension differs between paired and unpaired"):
         SampleSet(
             np.zeros((3, 2)), np.zeros((3, 1)), np.zeros((5, 3)), np.zeros((5, 1))
         )
@@ -92,8 +92,17 @@ def test_sample_set_allows_empty_pools():
         np.ones((4, 2)), np.ones((4, 1)), np.zeros((0, 2)), np.zeros((0, 1))
     )
     assert data.n == 4 and data.n_x == 0 and data.n_y == 0
-    assert data.pooled_x.shape == (4, 2)
+    assert data.pooled_x is data.paired_x
     assert data.pooled_y is data.paired_y
+
+
+def test_sample_set_without_pairs_pools_the_unpaired_arrays_themselves():
+    data = SampleSet(
+        np.zeros((0, 2)), np.zeros((0, 1)), np.ones((5, 2)), np.ones((4, 1))
+    )
+    assert data.n == 0 and data.n_x == 5 and data.n_y == 4
+    assert data.pooled_x is data.unpaired_x
+    assert data.pooled_y is data.unpaired_y
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

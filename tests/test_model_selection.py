@@ -66,6 +66,19 @@ def test_holdout_error_needs_two_pairs(small_basis):
         holdout_error(model, np.zeros((3, 2)), np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_holdout_error_rejects_a_non_finite_point_naming_its_argument(small_basis, bad):
+    from semismi import RatioModel
+
+    model = RatioModel(small_basis, np.ones(small_basis.b))
+    rng = np.random.default_rng(1)
+    for side, name in enumerate(("test_x", "test_y")):
+        tx, ty = rng.standard_normal((5, 2)), rng.standard_normal((5, 1))
+        (tx, ty)[side][1, 0] = bad
+        with pytest.raises(ValueError, match=rf"^{name} has a non-finite entry \(NaN or inf\)$"):
+            holdout_error(model, tx, ty)
+
+
 def test_select_best_argmin_and_tiebreaks():
     scores = {(0.1, 0.2): -0.40, (0.01, 0.4): -0.45}
     assert select_best(scores) == (0.01, 0.4)

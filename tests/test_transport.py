@@ -121,18 +121,25 @@ def test_warm_start_reaches_same_plan():
     assert warm.iterations <= cold.iterations
 
 
-@pytest.mark.parametrize("shift", [800.0, -800.0])
-def test_unusable_warm_start_falls_back_to_log_domain(shift):
+@pytest.mark.parametrize(
+    "phi_shift, psi_shift",
+    [(800.0, 800.0), (-800.0, -800.0), (0.0, -800.0 * (np.arange(8) == 3))],
+    ids=["800.0", "-800.0", "one-column"],
+)
+def test_unusable_warm_start_falls_back_to_log_domain(phi_shift, psi_shift):
     # +800 overflows exp on the warm kernel and -800 underflows every
-    # row to zero; either way the solve must notice before sweeping,
-    # redo the log-domain pass, and return the cold plan without
-    # floating-point warnings
+    # row to zero; -800 on one column's potential alone keeps every row
+    # usable and empties that column, so only the column test sees it.
+    # Each way the solve must notice before sweeping, redo the
+    # log-domain pass, and return the cold plan without floating-point
+    # warnings
     rng = np.random.default_rng(5)
     cost = rng.standard_normal((10, 8))
     cold = _cold(dense(cost), 0.3)
+    start = cold.row_potential + phi_shift, cold.col_potential + psi_shift
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        warm = sinkhorn_solve(*dense(cost), 0.3, 0.3, _potentials(cold, shift))
+        warm = sinkhorn_solve(*dense(cost), 0.3, 0.3, start)
     assert warm.converged
     assert_valid_plan(warm, 10, 8, tol=1e-10)
     np.testing.assert_allclose(warm.pi, cold.pi, atol=1e-10)
