@@ -249,6 +249,8 @@ def make_semi_supervised(
     rows = x.shape[0]
     if y.shape[0] != rows:
         raise ValueError("x and y must have the same number of rows")
+    if min(n, n_x, n_y) < 0:
+        raise ValueError("sample counts must be non-negative")
     if n + max(n_x, n_y) > rows:
         raise ValueError(
             f"insufficient rows: need n + max(n_x, n_y) = {n + max(n_x, n_y)}, have {rows}"

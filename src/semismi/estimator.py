@@ -18,10 +18,11 @@ mass at rank r, not b, when r is at most half of b), H, and one
 eigendecomposition of H that serves every lam.  A fit is a loop over
 one round function, (weights, plan) from the linear term, plus the stop
 rule; cross-validation runs all its grid fits on one problem.  Each
-input is checked once, where it enters: the points by ``SampleSet``,
-the hyperparameters by ``EstimatorConfig``, the unpaired blocks' shapes
-by ``_FeatureBlocks`` and H by ``RidgeSystem``, whose every solve also
-checks its scalar lam for callers that build the system directly.
+input is checked once, where it enters: the points by ``SampleSet``
+through :func:`~semismi.kernels.as_points`, the hyperparameters by
+``EstimatorConfig``, the unpaired blocks' shapes by ``_FeatureBlocks``
+and H by ``RidgeSystem``, whose every solve also checks its scalar lam
+for callers that build the system directly.
 """
 
 from __future__ import annotations
@@ -64,10 +65,7 @@ class SampleSet:
 
     def __post_init__(self):
         for name in ("paired_x", "paired_y", "unpaired_x", "unpaired_y"):
-            points = as_points(getattr(self, name), name)
-            if not np.isfinite(points).all():
-                raise ValueError(f"{name} has a non-finite entry (NaN or inf)")
-            setattr(self, name, points)
+            setattr(self, name, as_points(getattr(self, name), name))
         if self.paired_x.shape[0] != self.paired_y.shape[0]:
             raise ValueError("paired_x and paired_y must have equal length")
         for side in "xy":

@@ -29,8 +29,8 @@ d = 4, 6 against 33 ms at d = 32, and 5.5 against 5.0 ms at d = 1 (a
 2-core box with OpenBLAS).  A fit loads no scipy either way.
 The bandwidth's median is selected from the blocks as they stream past,
 so no array of all pairwise distances is ever held.  Every entry point
-rejects a point with a NaN or infinite coordinate, so both forms see
-finite points only.
+takes its points through ``as_points``, which rejects a NaN or infinite
+coordinate naming the argument, so both forms see finite points only.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ GEMM_MIN_DIM = 4
 
 
 def as_points(samples, name: str = "samples") -> np.ndarray:
-    """Coerce to an (N, d) float array; 1-D input becomes a column."""
+    """Coerce to an (N, d) float array of finite points; 1-D input becomes
+    a column.  Every error names the argument ``name``."""
     pts = np.asarray(samples, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
@@ -74,6 +75,8 @@ def as_points(samples, name: str = "samples") -> np.ndarray:
         raise ValueError(f"{name} must be 1-D or 2-D, got shape {pts.shape}")
     if pts.shape[0] and not pts.shape[1]:
         raise ValueError(f"{name} has no columns: shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{name} has a non-finite entry (NaN or inf)")
     return pts
 
 
@@ -271,15 +274,13 @@ def median_heuristic(samples, seed: int = 0) -> float:
     Raises
     ------
     ValueError
-        If fewer than two samples are given, a sample is not finite, or
-        all samples coincide (median distance zero gives a degenerate
-        bandwidth).
+        If a sample is not finite ("samples has a non-finite entry"),
+        fewer than two samples are given, or all samples coincide
+        (median distance zero gives a degenerate bandwidth).
     """
     pts = as_points(samples)
     if pts.shape[0] < 2:
         raise ValueError("insufficient samples for the median heuristic (need >= 2)")
-    if not np.isfinite(pts).all():
-        raise ValueError("samples have a non-finite entry (NaN or inf)")
     rng = np.random.default_rng(seed)
     if pts.shape[0] > MAX_POINTS:
         pts = pts[rng.choice(pts.shape[0], size=MAX_POINTS, replace=False)]
@@ -314,14 +315,10 @@ def median_heuristic(samples, seed: int = 0) -> float:
 def gaussian_gram(centers, points, sigma: float, name: str = "points") -> np.ndarray:
     """Kernel matrix G[l, i] = exp(-||c_l - p_i||^2 / (2 sigma^2)).
 
-    A NaN or infinite coordinate is a ``ValueError`` naming its
-    argument: "centers", or ``name`` for the points.
+    Errors name the argument: "centers", or ``name`` for the points.
     """
     c = as_points(centers, "centers")
     p = as_points(points, name)
-    for pts, label in ((c, "centers"), (p, name)):
-        if not np.isfinite(pts).all():
-            raise ValueError(f"{label} has a non-finite entry (NaN or inf)")
     if c.shape[1] != p.shape[1]:
         raise ValueError(
             f"dimension mismatch: centers have d={c.shape[1]}, {name} d={p.shape[1]}"

@@ -84,6 +84,8 @@ class GridSpec:
 
     def __post_init__(self):
         self.positions = as_points(self.positions, "positions")
+        if not self.positions.shape[0]:
+            raise ValueError("positions is empty")
         uniq = {tuple(p) for p in self.positions}
         if len(uniq) != self.positions.shape[0]:
             raise ValueError("grid positions must be distinct")

@@ -293,6 +293,14 @@ def test_make_semi_supervised_validation():
         make_semi_supervised(x, y[:-1], n=2, n_x=2, n_y=2)
 
 
+@pytest.mark.parametrize("counts", [(-1, 5, 5), (2, -3, 1), (2, 1, -3)])
+def test_make_semi_supervised_rejects_negative_counts(counts):
+    # n = -1 used to return 9 pairs and 1-point pools, and n_x = -3 a slice
+    x, y = _aligned(10)
+    with pytest.raises(ValueError, match="^sample counts must be non-negative$"):
+        make_semi_supervised(x, y, *counts)
+
+
 def test_make_semi_supervised_deterministic():
     x, y = _aligned(25)
     a = make_semi_supervised(x, y, n=5, n_x=10, n_y=10, seed=7)

@@ -152,16 +152,6 @@ def test_gaussian_gram_has_cdists_bits(d, offset):
     assert (gaussian_gram(centers, points, sigma) == np.exp(-d2 / (2.0 * sigma * sigma))).all()
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_gaussian_gram_rejects_a_non_finite_point_naming_its_argument(bad):
-    rng = np.random.default_rng(11)
-    centers, points = rng.standard_normal((5, 8)), rng.standard_normal((7, 8))
-    for name, pts in (("points", points), ("centers", centers)):
-        pts[2, 3] = bad
-        with pytest.raises(ValueError, match=rf"^{name} has a non-finite entry \(NaN or inf\)$"):
-            gaussian_gram(centers, points, 1.0)
-
-
 def _pairs_to_check(pts, limit=50_000):
     """Every pair (i < j) of the pool, or a seeded sample of ``limit``
     of them plus every pair of coincident points."""
@@ -303,13 +293,6 @@ def test_median_heuristic_stays_exact_when_its_bracket_misses(monkeypatch, n, si
     below, _, _, upto_hi = passes[0]
     assert (middle < below) if side == "low" else (middle >= upto_hi)
     assert len(passes) == 2
-
-
-def test_median_heuristic_rejects_non_finite_samples():
-    with pytest.raises(ValueError, match="non-finite"):
-        median_heuristic([[0.0], [np.nan], [1.0]])
-    with pytest.raises(ValueError, match="non-finite"):
-        median_heuristic([[0.0], [np.inf], [1.0]])
 
 
 def test_median_heuristic_holds_one_pair_buffer():

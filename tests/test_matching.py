@@ -1,6 +1,7 @@
 """Tests for plan rounding, ranking accuracy, and grid layout."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,16 @@ def test_grid_spec_validation():
         GridSpec(positions, [(0, 1), (2, 1)])
     with pytest.raises(ValueError, match="out of range"):
         GridSpec(positions, [(0, 4)])
+
+
+@pytest.mark.parametrize("positions", [np.empty((0, 2)), []], ids=["0x2", "0"])
+def test_grid_spec_rejects_an_empty_position_set(positions):
+    # it used to be accepted, and grid_summarize then leaked numpy's
+    # "Mean of empty slice" warning from normalize_positions
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^positions is empty$"):
+            grid_summarize(np.zeros((0, 2)), GridSpec(positions, []), EstimatorConfig())
 
 
 def test_grid_spec_rejects_an_anchor_that_is_not_a_whole_number():
